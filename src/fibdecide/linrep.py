@@ -15,7 +15,7 @@ row reduction; no floats anywhere, the whole point being zero versus tiny.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import automata as au
@@ -43,6 +43,8 @@ class LinRep:
     left: tuple
     mats: dict  # letter -> tuple of row tuples
     right: tuple
+    # letter -> per row i, the nonzero entries (j, M[i][j]); set at construction
+    _sparse: dict = field(init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -59,15 +61,27 @@ class LinRep:
                 raise ValueError(f"matrix for {letter!r} is not {r}x{r}")
         if len(self.right) != r:
             raise ValueError("right vector has wrong dimension")
+        sparse = {
+            letter: tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in m)
+            for letter, m in self.mats.items()
+        }
+        object.__setattr__(self, "_sparse", sparse)
+
+    def step(self, vec, letter) -> list:
+        """The row vector vec * M(letter), exact for ints and Fractions alike."""
+        out = [0] * len(vec)
+        for v, row in zip(vec, self._sparse[letter]):
+            if v:
+                for j, c in row:
+                    out[j] += v * c
+        return out
 
 
 def evaluate(lr: LinRep, word) -> int:
     """Fold the matrix product along the word (letters index lr.mats)."""
-    vec = list(lr.left)
-    r = lr.dim
+    vec = lr.left
     for letter in word:
-        m = lr.mats[letter]
-        vec = [sum(vec[i] * m[i][j] for i in range(r)) for j in range(r)]
+        vec = lr.step(vec, letter)
     return sum(v * rv for v, rv in zip(vec, lr.right))
 
 
@@ -113,11 +127,8 @@ def _closure(lr: LinRep):
             continue
         basis.append((pivot, red))
         entries.append((word, vec))
-        r = lr.dim
         for letter in lr.alphabet:
-            m = lr.mats[letter]
-            nxt = [sum(vec[i] * m[i][j] for i in range(r)) for j in range(r)]
-            queue.append((word + str(letter), nxt))
+            queue.append((word + str(letter), lr.step(vec, letter)))
     return entries
 
 
@@ -175,11 +186,10 @@ def counting_linrep(rel: Automaton, counted_track: int = 0, pad: int = 2) -> Lin
         mats[d] = tuple(tuple(row) for row in m)
     left = [0] * n
     left[rel.initial] = 1
-    for _ in range(pad):
-        left = [
-            sum(left[i] * mats[0][i][j] for i in range(n)) for j in range(n)
-        ]
     right = tuple(1 if rel.outputs[q] == 1 else 0 for q in range(n))
+    unpadded = LinRep(tuple(left), mats, right)
+    for _ in range(pad):
+        left = unpadded.step(left, 0)
     return LinRep(tuple(left), mats, right)
 
 

@@ -13,6 +13,7 @@ through floats: float rounding is wrong for n near Fibonacci numbers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import isqrt
 
 __all__ = [
@@ -41,6 +42,15 @@ def fib(k: int) -> int:
     return _FIB[k]
 
 
+def fib_bracket(m: int) -> int:
+    """The j >= 2 with F(j) < m <= F(j+1), for m >= 2; a bisection of the cached F."""
+    if m < 2:
+        raise ValueError("Fibonacci bracket needs m >= 2")
+    while _FIB[-1] < m:
+        _FIB.append(_FIB[-1] + _FIB[-2])
+    return bisect_left(_FIB, m) - 1
+
+
 def lucas(k: int) -> int:
     """L(k), with L(0) = 2, L(1) = 1."""
     if k < 0:
@@ -60,9 +70,7 @@ def encode(n: int) -> str:
         raise ValueError("cannot encode a negative number")
     if n == 0:
         return ""
-    k = 2
-    while fib(k + 1) <= n:
-        k += 1
+    k = fib_bracket(n + 1)  # F(k) <= n < F(k+1)
     digits = []
     rem = n
     for i in range(k, 1, -1):

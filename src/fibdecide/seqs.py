@@ -71,27 +71,11 @@ def a105774_table(n: int) -> np.ndarray:
     Fibonacci block at a time, each block depending only on earlier
     entries, so every block is a single vector operation.
     """
-    a = np.zeros(max(n, 2), dtype=np.int64)
-    a[1] = 1
-    j = 2
-    while nu.fib(j) + 1 < n:
-        lo = nu.fib(j) + 1
-        hi = min(nu.fib(j + 1), n - 1)
-        if lo <= hi:
-            a[lo : hi + 1] = nu.fib(j + 1) - a[lo - nu.fib(j) : hi - nu.fib(j) + 1]
-        j += 1
-    return a[:n]
+    return a_xy_table(1, 1, n)
 
 
-def a105774(m: int, _table: np.ndarray | None = None) -> int:
-    if _table is not None and m < len(_table):
-        return int(_table[m])
-    if m <= 1:
-        return m
-    j = 2
-    while not (nu.fib(j) < m <= nu.fib(j + 1)):
-        j += 1
-    return nu.fib(j + 1) - a105774(m - nu.fib(j), _table)
+def a105774(m: int) -> int:
+    return a_xy(1, 1, m)
 
 
 def a_xy_table(x: int, y: int, n: int) -> np.ndarray:
@@ -109,12 +93,15 @@ def a_xy_table(x: int, y: int, n: int) -> np.ndarray:
 
 
 def a_xy(x: int, y: int, m: int) -> int:
-    if m <= 1:
-        return m
-    j = 2
-    while not (nu.fib(j) < m <= nu.fib(j + 1)):
-        j += 1
-    return nu.fib(j + 1) * x - a_xy(x, y, m - nu.fib(j)) * y
+    """Scalar a(m) of a_xy_table, unrolled: each step adds coef * F(j+1) * x
+    and multiplies coef by -y, until m reaches the base cases a(0)=0, a(1)=1."""
+    total, coef = 0, 1
+    while m > 1:
+        j = nu.fib_bracket(m)
+        total += coef * nu.fib(j + 1) * x
+        coef *= -y
+        m -= nu.fib(j)
+    return total + coef * m
 
 
 def nested_b_table(n: int) -> np.ndarray:
@@ -134,15 +121,11 @@ def nested_b_table(n: int) -> np.ndarray:
     return b[:n]
 
 
-def nested_b(m: int, _table: np.ndarray | None = None) -> int:
-    if _table is not None and m < len(_table):
-        return int(_table[m])
+def nested_b(m: int) -> int:
     if m <= 1:
         return m
-    j = 2
-    while not (nu.fib(j) < m <= nu.fib(j + 1)):
-        j += 1
-    return nu.fib(j + 1) - nested_b(nested_b(m - nu.fib(j), _table), _table)
+    j = nu.fib_bracket(m)
+    return nu.fib(j + 1) - nested_b(nested_b(m - nu.fib(j)))
 
 
 def lucas_variant_table(n: int) -> np.ndarray:
@@ -169,15 +152,13 @@ def lucas_variant_table(n: int) -> np.ndarray:
     return a[:n]
 
 
-def lucas_variant(m: int, _table: np.ndarray | None = None) -> int:
-    if _table is not None and m < len(_table):
-        return int(_table[m])
+def lucas_variant(m: int) -> int:
     if m <= 1:
         return m
     j = 1
     while not (nu.lucas(j) < m <= nu.lucas(j + 1)):
         j += 1
-    return nu.lucas(j + 1) - lucas_variant(m - nu.lucas(j), _table)
+    return nu.lucas(j + 1) - lucas_variant(m - nu.lucas(j))
 
 
 # Committed prefix fixture for the Lucas variant, n = 0..20, generated by
@@ -190,21 +171,7 @@ LUCAS_VARIANT_PREFIX = [0, 1, 2, 1, 3, 6, 5, 6, 10, 9, 10, 8, 17, 16, 17, 15, 12
 
 def floor_phi_table(n: int) -> np.ndarray:
     """Vectorized exact floor(phi m) for m = 0..n-1."""
-    m = np.arange(n, dtype=np.int64)
-    five = 5 * m * m
-    r = np.sqrt(five.astype(np.float64)).astype(np.int64)
-    # exact integer sqrt: repair float rounding
-    while True:
-        over = r * r > five
-        if not over.any():
-            break
-        r[over] -= 1
-    while True:
-        under = (r + 1) * (r + 1) <= five
-        if not under.any():
-            break
-        r[under] += 1
-    return (m + r) // 2
+    return _vec_floor_phi(np.arange(n, dtype=np.int64))
 
 
 def _beatty_batch(kind: str, ms: np.ndarray) -> np.ndarray:
@@ -225,11 +192,17 @@ def _beatty_batch(kind: str, ms: np.ndarray) -> np.ndarray:
     raise KeyError(kind)
 
 
+# for m up to here 5 m^2 is exact in float64 and r * r cannot overflow int64
+_VEC_PHI_MAX = nu.isqrt((1 << 52) // 5)
+
+
 def _vec_floor_phi(m: np.ndarray) -> np.ndarray:
-    five = 5 * m * m
-    if five.size and int(five.max()) > (1 << 52):
+    """Exact floor(phi m) elementwise; larger m go through the integer scalar."""
+    if m.size and int(m.max()) > _VEC_PHI_MAX:
         return np.array([nu.floor_phi(int(v)) for v in m], dtype=np.int64)
+    five = 5 * m * m
     r = np.sqrt(five.astype(np.float64)).astype(np.int64)
+    # exact integer sqrt: repair float rounding
     while True:
         over = r * r > five
         if not over.any():
@@ -396,14 +369,15 @@ def t_closed(n: int) -> Fraction:
 
 def x_comp(n: int) -> int:
     """a(floor(phi n)) - floor(phi a(n)); defined for n >= 1."""
-    an = a105774(n)
-    return a105774(nu.floor_phi(n)) - nu.floor_phi(an)
+    a = oracle("a105774").value
+    return a(nu.floor_phi(n)) - nu.floor_phi(a(n))
 
 
 def d_comp(n: int) -> int:
     """floor(phi^2 a(n) + 1/2) - a(floor(phi n)) - a(n)."""
-    an = a105774(n)
-    return nu.floor_phi2_half(an) - a105774(nu.floor_phi(n)) - an
+    a = oracle("a105774").value
+    an = a(n)
+    return nu.floor_phi2_half(an) - a(nu.floor_phi(n)) - an
 
 
 def _x_comp_table(n: int) -> np.ndarray:
@@ -481,10 +455,6 @@ class SequenceOracle:
         return f"<SequenceOracle {self.name}>"
 
 
-def _lucas_scalar(m):
-    return lucas_variant(m)
-
-
 _REGISTRY = {
     "a105774": lambda: SequenceOracle("a105774", a105774, a105774_table),
     "axy_2_1": lambda: SequenceOracle(
@@ -495,7 +465,7 @@ _REGISTRY = {
     ),
     "nested": lambda: SequenceOracle("nested", nested_b, nested_b_table),
     "lucas_variant": lambda: SequenceOracle(
-        "lucas_variant", _lucas_scalar, lucas_variant_table
+        "lucas_variant", lucas_variant, lucas_variant_table
     ),
     "count": lambda: SequenceOracle("count", count_c, count_c_table, cheap_scalar=False),
     "p0": lambda: SequenceOracle(

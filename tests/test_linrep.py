@@ -124,7 +124,27 @@ def test_mutation_makes_nonzero(a_rel):
     diff = linrep.subtract(
         linrep.counting_linrep(a_rel), linrep.counting_linrep(mutated)
     )
-    assert linrep.zero_witness(diff) is not None
+    # the first nonzero word of the breadth-first closure, pinned
+    assert linrep.zero_witness(diff) == "11"
+
+
+def _dense_evaluate(lr, word):
+    vec = list(lr.left)
+    for letter in word:
+        m = lr.mats[letter]
+        vec = [sum(vec[i] * m[i][j] for i in range(lr.dim)) for j in range(lr.dim)]
+    return sum(v * r for v, r in zip(vec, lr.right))
+
+
+def test_evaluate_matches_dense_fold(a_rel):
+    diff = linrep.subtract(
+        linrep.counting_linrep(a_rel), linrep.counting_linrep(arith.eq())
+    )
+    assert any(c < 0 for c in diff.left)
+    for length in range(9):
+        for w in range(1 << length):
+            word = [(w >> i) & 1 for i in range(length)]
+            assert linrep.evaluate(diff, word) == _dense_evaluate(diff, word)
 
 
 def test_padding_stability(a_rel):

@@ -130,6 +130,15 @@ def test_relational_subtraction(session):
     assert session.eval("Ak,x (x<k) => Et t=k-x & t+x=k")
 
 
+def test_underflowing_subtraction_verdicts(session):
+    # x-5 underflows at x=2: = and < are false there, != is ~(=) and true
+    from fibdecide.reproduce import _eval_formula
+
+    for atom, verdict in (("x-5!=3", True), ("x-5=3", False), ("x-5<3", False)):
+        assert session.eval(f"Ex x=2 & {atom}") is verdict, atom
+        assert _eval_formula(logic.parse_formula(atom), {"x": 2}) is verdict, atom
+
+
 def test_division_examples(session):
     assert session.eval("Ax Ez z=(x+1)/2 & 2*z<=x+1 & x+1<2*z+2")
     with pytest.raises(logic.CompileError, match="divisor"):

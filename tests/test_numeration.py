@@ -20,6 +20,16 @@ def test_lucas_values():
     assert nu.lucas(7) == 29
 
 
+def test_fib_bracket():
+    for m in range(2, 5000):
+        j = nu.fib_bracket(m)
+        assert nu.fib(j) < m <= nu.fib(j + 1)
+    j = nu.fib_bracket(10**40)
+    assert nu.fib(j) < 10**40 <= nu.fib(j + 1)
+    with pytest.raises(ValueError):
+        nu.fib_bracket(1)
+
+
 def test_encode_examples():
     assert nu.encode(43) == "10010001"
     assert nu.encode(0) == ""
@@ -110,6 +120,13 @@ def test_floor_phi_table_matches_scalar():
     table = seqs.floor_phi_table(5000)
     for n in range(0, 5000, 13):
         assert int(table[n]) == nu.floor_phi(n)
+
+
+def test_vectorized_floor_phi_large_arguments():
+    # 5 m^2 overflows int64 for these m; they must take the exact scalar path
+    ms = np.array([0, 7, 10**6, 2**32 + 5, 2**33], dtype=np.int64)
+    got = seqs._vec_floor_phi(ms)
+    assert [int(v) for v in got] == [nu.floor_phi(int(m)) for m in ms]
 
 
 def test_roundtrip_full_range_vectorized():

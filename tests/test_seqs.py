@@ -29,6 +29,58 @@ def test_a105774_scalar_matches_table():
     assert seqs.a105774(10**9) == seqs.oracle("a105774").value(10**9)
 
 
+@pytest.mark.parametrize(
+    "scalar, table_fn",
+    [
+        (seqs.a105774, seqs.a105774_table),
+        (lambda m: seqs.a_xy(2, 1, m), lambda n: seqs.a_xy_table(2, 1, n)),
+        (seqs.nested_b, seqs.nested_b_table),
+        (seqs.lucas_variant, seqs.lucas_variant_table),
+    ],
+    ids=["a105774", "a_xy_2_1", "nested_b", "lucas_variant"],
+)
+def test_scalar_equals_table(scalar, table_fn):
+    table = table_fn(3000)
+    assert [scalar(m) for m in range(3000)] == [int(v) for v in table]
+
+
+def _a105774_reference(m):
+    """The defining recursion with a linear bracket scan from j = 2."""
+    if m <= 1:
+        return m
+    j = 2
+    while not (nu.fib(j) < m <= nu.fib(j + 1)):
+        j += 1
+    return nu.fib(j + 1) - _a105774_reference(m - nu.fib(j))
+
+
+def test_a105774_large_arguments_match_recursion():
+    import sys
+
+    args = [10**5 + 7 * i for i in range(10)]
+    args += [10**e + e for e in range(6, 31)]
+    args += [nu.fib(k) + 1 for k in range(50, 55)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        want = [_a105774_reference(m) for m in args]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [seqs.a105774(m) for m in args] == want
+
+
+def test_compositions_do_not_depend_on_cache(monkeypatch):
+    n = 5000
+    want_x = [int(v) for v in seqs._x_comp_table(n)[1:]]
+    want_d = [int(v) for v in seqs._d_comp_table(n)[1:]]
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    assert [seqs.x_comp(m) for m in range(1, n)] == want_x
+    assert [seqs.d_comp(m) for m in range(1, n)] == want_d
+    seqs.oracle("a105774").table(10**5)
+    assert [seqs.x_comp(m) for m in range(1, n)] == want_x
+    assert [seqs.d_comp(m) for m in range(1, n)] == want_d
+
+
 def test_recurrence_self_check():
     n = 100_000
     a = seqs.a105774_table(n)
