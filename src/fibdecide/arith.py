@@ -164,16 +164,14 @@ def _add_with_bound(bound: int) -> Automaton:
 
 
 def _add_exhaustive_ok(cand: Automaton, n: int) -> bool:
-    xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    xs, ys = xs.ravel(), ys.ravel()
-    zs = xs + ys
-    for lo in range(0, xs.size, 1 << 20):
-        hi = lo + (1 << 20)
-        good = accepts_number_pairs(cand, xs[lo:hi], ys[lo:hi], zs[lo:hi])
-        if not bool(good.all()):
+    """Check every (x, y, x + y) with x, y < n, x-major, in 2**20 blocks."""
+    for lo in range(0, n * n, 1 << 20):
+        xs, ys = np.divmod(np.arange(lo, min(lo + (1 << 20), n * n)), n)
+        if not bool(accepts_number_pairs(cand, xs, ys, xs + ys).all()):
             return False
     # wrong sums must be rejected
-    bad = accepts_number_pairs(cand, xs[: 50_000], ys[: 50_000], zs[: 50_000] + 1)
+    xs, ys = np.divmod(np.arange(min(50_000, n * n)), n)
+    bad = accepts_number_pairs(cand, xs, ys, xs + ys + 1)
     return not bool(bad.any())
 
 
@@ -239,22 +237,12 @@ def const_div(c: int) -> Automaton:
 
 def accepts_number_pairs(aut: Automaton, *cols) -> np.ndarray:
     """Vector of acceptance bits for tuples of naturals (zero-padded)."""
-    if len(cols) != aut.arity:
-        raise au.ArityError(f"expected {aut.arity} columns")
-    arrs = [np.ascontiguousarray(c, dtype=np.int64) for c in cols]
-    hi = max((int(a.max()) if a.size else 0) for a in arrs)
-    width = max(len(nu.encode(hi)), 1)
-    mats = [au.digit_matrix(a, width) for a in arrs]
-    return au.run_batch(aut, au.pack_tracks(*mats)) == 1
+    return au.run_numbers(aut, cols) == 1
 
 
 def dfao_values(aut: Automaton, ns) -> np.ndarray:
-    """DFAO outputs at many arguments (arity 1)."""
-    ns = np.ascontiguousarray(ns, dtype=np.int64)
-    hi = int(ns.max()) if ns.size else 0
-    width = max(len(nu.encode(hi)), 1)
-    mat = au.digit_matrix(ns, width)
-    return au.run_batch(aut, mat.astype(np.int32))
+    """DFAO outputs at many naturals (arity 1)."""
+    return au.run_numbers(aut, [ns])
 
 
 # -- Fibonacci word ---------------------------------------------------------

@@ -43,7 +43,6 @@ __all__ = [
     "complement",
     "determinize",
     "minimize",
-    "minimize_dfao",
     "DeterminizationLimit",
     "project",
     "zero_normalize",
@@ -59,10 +58,8 @@ __all__ = [
     "deserialize",
     "export_dot",
     "partial_state_count",
-    "dfao_zero_stable",
     "digit_matrix",
-    "pack_tracks",
-    "run_batch",
+    "run_numbers",
     "encode_pair_word",
     "word_from_string",
 ]
@@ -261,21 +258,58 @@ def digit_matrix(ns, width: int | None = None) -> np.ndarray:
     return out
 
 
-def pack_tracks(*digit_mats) -> np.ndarray:
-    """Pack per-track digit matrices (same shape) into symbol-index matrix."""
-    sym = np.zeros(digit_mats[0].shape, dtype=np.int32)
-    for m in digit_mats:
-        np.left_shift(sym, 1, out=sym)
-        np.bitwise_or(sym, m, out=sym)
-    return sym
+# Rows per block of run_numbers: keeps the remainder, index and state
+# arrays of one block cache-sized, whatever the number of tuples.
+RUN_BLOCK = 1 << 15
 
 
-def run_batch(a: Automaton, sym_matrix: np.ndarray) -> np.ndarray:
-    """Outputs of `a` on many equal-length words (rows of symbol indices)."""
-    state = np.full(sym_matrix.shape[0], a.initial, dtype=np.int32)
-    for col in range(sym_matrix.shape[1]):
-        state = a.delta[state, sym_matrix[:, col]]
-    return a.outputs[state]
+def run_numbers(a: Automaton, cols) -> np.ndarray:
+    """Outputs of `a` on tuples of naturals, one column per track.
+
+    Row i is the tuple (cols[0][i], ..., cols[k-1][i]), read msd first as
+    Zeckendorf digits zero-padded to the width of the largest value in any
+    column.  Rows are read in blocks of RUN_BLOCK; the digit of each track
+    comes from a running remainder, so no (rows x width) digit matrix is
+    built.  Raises ValueError for a negative value or columns of unequal
+    length.
+    """
+    if len(cols) != a.arity or a.arity == 0:
+        raise ArityError(f"need one column per track (arity {a.arity} >= 1), got {len(cols)}")
+    arrs = [np.asarray(c, dtype=np.int64) for c in cols]
+    n = len(arrs[0])
+    if any(x.shape != (n,) for x in arrs):
+        raise ValueError("columns must be one-dimensional and of equal length")
+    if n == 0:
+        return a.outputs[:0].copy()
+    if min(int(x.min()) for x in arrs) < 0:
+        raise ValueError("batch membership takes natural numbers only")
+    hi = max(int(x.max()) for x in arrs)
+    width = max(len(numeration.encode(hi)), 1)
+    weights = [numeration.fib(width + 1 - col) for col in range(width)]
+    rdtype = np.int32 if hi < 1 << 31 else np.int64
+    sign = np.iinfo(rdtype).bits - 1
+    flat = a.delta.ravel()
+    out = np.empty(n, dtype=a.outputs.dtype)
+    for lo in range(0, n, RUN_BLOCK):
+        rems = [x[lo : lo + RUN_BLOCK].astype(rdtype) for x in arrs]
+        m = rems[0].size
+        state = np.full(m, a.initial, dtype=np.int32)
+        idx = np.empty(m, dtype=rdtype)
+        neg = np.empty(m, dtype=rdtype)
+        tmp = np.empty(m, dtype=rdtype)
+        for f in weights:
+            idx[:] = state
+            for r in rems:
+                # neg = -1 where r >= f (digit 1), else 0: the sign of f-1-r
+                np.subtract(f - 1, r, out=neg)
+                np.right_shift(neg, sign, out=neg)
+                np.bitwise_and(neg, f, out=tmp)  # masked subtract of f
+                np.subtract(r, tmp, out=r)
+                np.left_shift(idx, 1, out=idx)  # append the digit bit
+                np.subtract(idx, neg, out=idx)
+            np.take(flat, idx, out=state)  # flat[state * S + symbol]
+        out[lo : lo + m] = a.outputs[state]
+    return out
 
 
 # -- products and boolean algebra ---------------------------------------
@@ -450,11 +484,6 @@ def minimize(a: Automaton) -> Automaton:
     )
 
 
-def minimize_dfao(a: Automaton) -> Automaton:
-    """Alias of :func:`minimize`; outputs drive the partition either way."""
-    return minimize(a)
-
-
 def equivalent(a: Automaton, b: Automaton) -> bool:
     if a.arity != b.arity:
         raise ArityError("cannot compare automata of different arity")
@@ -559,11 +588,6 @@ def _subset_multi(arity, seeds, move_tables, accepting_mask, keep=None):
         dtype=np.int32,
     )
     return np.vstack(rows), outs, seed_ids
-
-
-def _subset_dfa(arity, initial: np.ndarray, move_tables, accepting_mask):
-    rows, outs, _ = _subset_multi(arity, [initial], move_tables, accepting_mask)
-    return Automaton(arity, rows, outs)
 
 
 def zero_normalize(a: Automaton) -> Automaton:
@@ -747,24 +771,6 @@ def combine(parts, domain: Automaton | None = None) -> Automaton:
         values = np.where((bits >> i) & 1 == 1, val, values)
     out = Automaton(mask.arity, mask.delta, values, mask.initial)
     return minimize(out)
-
-
-def dfao_zero_stable(a: Automaton) -> bool:
-    """True iff outputs are invariant under leading all-zero padding."""
-    q1 = a.initial
-    q2 = int(a.delta[a.initial, 0])
-    seen = set()
-    stack = [(q1, q2)]
-    while stack:
-        p, q = stack.pop()
-        if (p, q) in seen:
-            continue
-        seen.add((p, q))
-        if int(a.outputs[p]) != int(a.outputs[q]):
-            return False
-        for s in range(a.n_symbols):
-            stack.append((int(a.delta[p, s]), int(a.delta[q, s])))
-    return True
 
 
 # -- enumeration ---------------------------------------------------------

@@ -625,14 +625,6 @@ class Compiler:
         out = Automaton(out.arity, out.delta, out.outputs, out.initial, zero_normalized=True)
         return CompiledQuery(out, allvars)
 
-    def _conj(self, queries, fresh) -> CompiledQuery:
-        out = None
-        for q in queries:
-            out = q if out is None else self._bool("&", out, q)
-        if out is None:
-            out = self._true()
-        return out
-
     def _conj_eliminate(self, queries, eliminate) -> CompiledQuery:
         """Conjoin constraint queries, projecting helper variables eagerly.
 

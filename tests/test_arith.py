@@ -55,6 +55,36 @@ def test_add_total_function_small():
     assert not arith.accepts_number_pairs(add, xs[1:], ys[1:], xs[1:] + ys[1:] - 1).any()
 
 
+def test_batch_membership_rejects_negatives_and_ragged_columns():
+    with pytest.raises(ValueError, match="natural"):
+        arith.accepts_number_pairs(arith.eq(), [-3], [0])
+    with pytest.raises(ValueError, match="natural"):
+        arith.dfao_values(arith.fibword(), [-1])
+    with pytest.raises(ValueError, match="equal length"):
+        arith.accepts_number_pairs(arith.eq(), [1, 2], [1])
+
+
+def test_add_exhaustive_check_visits_the_grid_in_order(monkeypatch):
+    """Same tuples, same order and same blocks as the x-major meshgrid."""
+    n = 1100  # two 2**20 blocks, the second partial
+    seen = []
+
+    def record(aut, *cols):  # stands in for a correct addition automaton
+        seen.append([np.array(c) for c in cols])
+        return cols[0] + cols[1] == cols[2]
+
+    monkeypatch.setattr(arith, "accepts_number_pairs", record)
+    assert arith._add_exhaustive_ok(None, n)
+    xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    xs, ys = xs.ravel(), ys.ravel()
+    want = [(xs[:1 << 20], ys[:1 << 20], (xs + ys)[:1 << 20]),
+            (xs[1 << 20:], ys[1 << 20:], (xs + ys)[1 << 20:]),
+            (xs[:50_000], ys[:50_000], (xs + ys)[:50_000] + 1)]
+    assert len(seen) == len(want)
+    for got, cols in zip(seen, want):
+        assert all(np.array_equal(g, c) for g, c in zip(got, cols))
+
+
 def test_add_commutes():
     add = arith.add()
     swapped = au.swap_tracks(add, [1, 0, 2])

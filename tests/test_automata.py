@@ -242,3 +242,53 @@ def test_random_nfa_determinize_agreement():
             for probe in range(min(1 << length, 64)):
                 word = [(probe >> i) & 1 for i in range(length)]
                 assert dfa.accepts(word) == nfa_accepts(word), (trial, word)
+
+
+def _walk_reference(a, cols):
+    """Outputs by digit_matrix at the common width and a per-row delta walk."""
+    cols = [np.asarray(c, dtype=np.int64) for c in cols]
+    hi = max(int(c.max()) for c in cols)
+    width = max(len(nu.encode(hi)), 1)
+    mats = [au.digit_matrix(c, width) for c in cols]
+    out = []
+    for i in range(cols[0].size):
+        q = a.initial
+        for j in range(width):
+            sym = 0
+            for m in mats:
+                sym = (sym << 1) | int(m[i, j])
+            q = int(a.delta[q, sym])
+        out.append(int(a.outputs[q]))
+    return np.array(out, dtype=np.int64)
+
+
+def _random_dfao(rng, arity, n_states=7, n_values=3):
+    delta = rng.integers(0, n_states, (n_states, 1 << arity))
+    return au.Automaton(arity, delta, rng.integers(0, n_values, n_states))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("hi", [5_000, (1 << 31) - 1, 1 << 40])
+def test_run_numbers_matches_digit_walk(arity, hi, monkeypatch):
+    """Random DFAOs on random tuples, in blocks of 64 rows and a partial one.
+
+    hi = 2**31 - 1 keeps the int32 remainders at their limit; 2**40 mixes
+    values on both sides of 2**31 and takes the int64 path.
+    """
+    monkeypatch.setattr(au, "RUN_BLOCK", 64)
+    rng = np.random.default_rng(arity * 7919 + hi % 7919)
+    cols = [rng.integers(0, hi, 3 * 64 + 17) for _ in range(arity)]
+    for c in cols:
+        c[-17:] %= 100  # the last block is small, yet read at the batch width
+    edge = [v for v in range((1 << 31) - 2, (1 << 31) + 2) if v <= hi]
+    cols[0][: len(edge) + 2] = [0, hi] + edge
+    for trial in range(3):
+        a = _random_dfao(rng, arity)
+        assert np.array_equal(au.run_numbers(a, cols), _walk_reference(a, cols)), trial
+        assert au.run_numbers(a, [[]] * arity).size == 0
+
+
+def test_run_numbers_dfaos_past_one_block(catalog):
+    ns = np.random.default_rng(3).integers(0, 100_000, au.RUN_BLOCK + 5)
+    for a in (catalog["fibword"], arith.mod_dfao(3, verify_bound=5000)):
+        assert np.array_equal(au.run_numbers(a, [ns]), _walk_reference(a, [ns]))
