@@ -179,12 +179,6 @@ class Nfa:
         }
         return cls(a.arity, a.n_states, (a.initial,), a.accepting, moves)
 
-    def move(self, states, symbol):
-        out = set()
-        for q in states:
-            out |= self.moves.get((q, symbol), frozenset())
-        return out
-
 
 # -- word coercion and number encodings --------------------------------
 
@@ -338,7 +332,6 @@ def product(a: Automaton, b: Automaton, out_fn) -> Automaton:
             order.append(k)
         frontier = np.array(fresh, dtype=np.int64)
     keys = np.array(order, dtype=np.int64)
-    lookup = {k: i for i, k in enumerate(order)}
     succ_all = np.vstack(rows)
     # remap packed keys to dense ids
     sorter = np.argsort(keys)
@@ -504,28 +497,6 @@ def is_empty(a: Automaton) -> bool:
 # -- subset construction -------------------------------------------------
 
 
-def determinize(nfa: Nfa) -> Automaton:
-    """Language-equivalent complete DFA via subset construction."""
-    S = 1 << nfa.arity
-    start = frozenset(nfa.initial)
-    index = {start: 0}
-    queue = [start]
-    rows = []
-    outs = []
-    while queue:
-        cur = queue.pop(0)
-        row = []
-        for s in range(S):
-            nxt = frozenset(nfa.move(cur, s))
-            if nxt not in index:
-                index[nxt] = len(index)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
-        outs.append(1 if cur & nfa.accepting else 0)
-    return Automaton(nfa.arity, np.array(rows, dtype=np.int32), np.array(outs))
-
-
 SUBSET_LIMIT = 300_000
 
 
@@ -533,61 +504,57 @@ class DeterminizationLimit(AutomatonError):
     """Subset construction exceeded SUBSET_LIMIT states."""
 
 
-def _subset_multi(arity, seeds, move_tables, accepting_mask, keep=None):
+def _subsets(seeds, succ, accepting):
     """Subset construction from several seed subsets at once.
 
-    move_tables: list of (n, S') int arrays; successor set of a subset on
-    symbol s is the union over tables of table[subset, s].  States outside
-    `keep` (a boolean mask) are dropped from every subset: callers pass the
-    co-reachable states, which preserves the language and keeps dead
-    branches from inflating the powerset.  Returns (delta_rows, outputs,
-    seed_ids) over the discovered subset states.
+    succ[s][q] is the sorted tuple of successors of state q on symbol s;
+    the successor of a subset is the union over its members.  `accepting`
+    is a set of states.  Subsets are keyed by sorted tuples and numbered
+    in BFS discovery order, seeds first, symbols ascending.  Returns
+    (delta_rows, outputs, seed_ids) over the discovered subsets.
     """
-    S = move_tables[0].shape[1]
-    index: dict[bytes, int] = {}
-    subsets: list[np.ndarray] = []
+    index: dict[tuple, int] = {}
+    subsets: list[tuple] = []
     seed_ids = []
     for seed in seeds:
-        init = np.unique(np.asarray(seed, dtype=np.int32))
-        if keep is not None:
-            init = init[keep[init]]
-        key = init.tobytes()
+        key = tuple(sorted(set(seed)))
         if key not in index:
             index[key] = len(subsets)
-            subsets.append(init)
+            subsets.append(key)
         seed_ids.append(index[key])
-    rows: list[np.ndarray] = []
+    flat = []
     qpos = 0
     while qpos < len(subsets):
         sub = subsets[qpos]
-        row = np.empty(S, dtype=np.int32)
-        for s in range(S):
-            if len(move_tables) == 1:
-                nxt = np.unique(move_tables[0][sub, s]).astype(np.int32)
+        for table in succ:
+            if len(sub) == 1:
+                nxt = table[sub[0]]
             else:
-                nxt = np.unique(
-                    np.concatenate([t[sub, s] for t in move_tables])
-                ).astype(np.int32)
-            if keep is not None:
-                nxt = nxt[keep[nxt]]
-            key = nxt.tobytes()
-            tid = index.get(key)
+                nxt = tuple(sorted(set().union(*[table[q] for q in sub])))
+            tid = index.get(nxt)
             if tid is None:
                 tid = len(subsets)
                 if tid >= SUBSET_LIMIT:
                     raise DeterminizationLimit(
                         f"determinization exceeded {SUBSET_LIMIT} states"
                     )
-                index[key] = tid
+                index[nxt] = tid
                 subsets.append(nxt)
-            row[s] = tid
-        rows.append(row)
+            flat.append(tid)
         qpos += 1
-    outs = np.array(
-        [1 if bool(accepting_mask[sub].any()) else 0 for sub in subsets],
-        dtype=np.int32,
-    )
-    return np.vstack(rows), outs, seed_ids
+    rows = np.array(flat, dtype=np.int32).reshape(len(subsets), len(succ))
+    outs = np.array([0 if accepting.isdisjoint(sub) else 1 for sub in subsets], dtype=np.int32)
+    return rows, outs, seed_ids
+
+
+def determinize(nfa: Nfa) -> Automaton:
+    """Language-equivalent complete DFA via subset construction."""
+    succ = [
+        [tuple(sorted(nfa.moves.get((q, s), ()))) for q in range(nfa.n_states)]
+        for s in range(1 << nfa.arity)
+    ]
+    rows, outs, _ = _subsets([nfa.initial], succ, nfa.accepting)
+    return Automaton(nfa.arity, rows, outs)
 
 
 def zero_normalize(a: Automaton) -> Automaton:
@@ -612,15 +579,16 @@ def zero_normalize(a: Automaton) -> Automaton:
     S = a.n_symbols
     if S == 1:
         val = 1 if bool(acc[closure_arr].any()) else 0
-        out = Automaton(
+        return Automaton(
             a.arity,
             np.zeros((1, 1), dtype=np.int32),
             np.array([val], dtype=np.int32),
             0,
+            zero_normalized=True,
         )
-        return Automaton(out.arity, out.delta, out.outputs, 0, zero_normalized=True)
-    seeds = [a.delta[closure_arr, s] for s in range(1, S)]
-    rows, outs, seed_ids = _subset_multi(a.arity, seeds, [a.delta], acc)
+    seeds = [a.delta[closure_arr, s].tolist() for s in range(1, S)]
+    succ = [[(t,) for t in col] for col in a.delta.T.tolist()]
+    rows, outs, seed_ids = _subsets(seeds, succ, set(np.flatnonzero(acc).tolist()))
     n_sub = rows.shape[0]
     delta = np.empty((n_sub + 1, S), dtype=np.int32)
     delta[0, 0] = 0
@@ -674,10 +642,9 @@ def project(a: Automaton, track: int) -> Automaton:
         frontier = nxt - closure
     acc = a.outputs == 1
     # states with no accepting future never matter inside a subset
-    keep = _coreachable(a.delta, acc)
-    seed = np.array(sorted(closure), dtype=np.int32)
-    seed = seed[keep[seed]]
-    if seed.size == 0:
+    keep = _coreachable(a.delta, acc).tolist()
+    seed = [q for q in closure if keep[q]]
+    if not seed:
         empty = Automaton(
             a.arity - 1,
             np.zeros((1, 1 << (a.arity - 1)), dtype=np.int32),
@@ -686,7 +653,11 @@ def project(a: Automaton, track: int) -> Automaton:
             zero_normalized=True,
         )
         return empty
-    rows, outs, _ = _subset_multi(a.arity - 1, [seed], [t0, t1], acc, keep=keep)
+    succ = [
+        [tuple(q for q in sorted({x, y}) if keep[q]) for x, y in zip(c0, c1)]
+        for c0, c1 in zip(t0.T.tolist(), t1.T.tolist())
+    ]
+    rows, outs, _ = _subsets([seed], succ, set(np.flatnonzero(acc).tolist()))
     out = Automaton(a.arity - 1, rows, outs)
     return zero_normalize(out)
 
@@ -857,53 +828,20 @@ def partial_state_count(a: Automaton, domain: Automaton) -> int:
     useful = _coreachable(p.delta, target)
     if not useful[p.initial]:
         return 0
+    # undefined moves (into useless states) go to an added sink state n;
+    # the sink and the useless states share an output key that no useful
+    # state has, and no defined move enters a useless state
     n, S = p.delta.shape
-    allowed = useful[p.delta]
+    delta = np.full((n + 1, S), n, dtype=np.int32)
+    defined = useful[p.delta]
+    delta[:n][defined] = p.delta[defined]
     # output key: observable value at prefixes that are full domain words
-    outkey = np.where(d_acc, a_out, -1)
-    states = [q for q in range(n) if useful[q]]
-    ids = {}
-    key_of = {}
-    for q in states:
-        key_of[q] = (int(outkey[q]), tuple(bool(x) for x in allowed[q]))
-    # refine
-    classes = {}
-    for q in states:
-        classes.setdefault(key_of[q], []).append(q)
-    ids = {}
-    for i, members in enumerate(classes.values()):
-        for q in members:
-            ids[q] = i
-    changed = True
-    while changed:
-        changed = False
-        buckets = {}
-        for q in states:
-            succ = tuple(
-                ids[int(p.delta[q, s])] if allowed[q, s] else -1 for s in range(S)
-            )
-            buckets.setdefault((ids[q], succ), []).append(q)
-        if len(buckets) != len(set(ids[q] for q in states)):
-            changed = True
-        new_ids = {}
-        for i, members in enumerate(buckets.values()):
-            for q in members:
-                new_ids[q] = i
-        ids = new_ids
-    # count classes reachable through useful transitions from the start
-    reach = {ids[p.initial]}
-    frontier = [p.initial]
-    seen = {p.initial}
-    while frontier:
-        q = frontier.pop()
-        for s in range(S):
-            if allowed[q, s]:
-                t = int(p.delta[q, s])
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-                reach.add(ids[t])
-    return len(reach)
+    outkey = np.where(d_acc, a_out, -1).astype(np.int64)
+    sink_key = int(outkey.min()) - 1
+    outkey = np.append(np.where(useful, outkey, sink_key), sink_key)
+    ids = _moore_partition(delta, outkey)
+    reach = np.unique(ids[_reachable_order(delta, p.initial)])
+    return int(np.count_nonzero(reach != ids[n]))
 
 
 # -- regular expressions ---------------------------------------------------

@@ -292,3 +292,256 @@ def test_run_numbers_dfaos_past_one_block(catalog):
     ns = np.random.default_rng(3).integers(0, 100_000, au.RUN_BLOCK + 5)
     for a in (catalog["fibword"], arith.mod_dfao(3, verify_bound=5000)):
         assert np.array_equal(au.run_numbers(a, [ns]), _walk_reference(a, [ns]))
+
+
+# -- subset construction and partition refinement against references -------
+
+
+def _subset_multi(seeds, move_tables, accepting_mask, keep=None):
+    """Reference subset construction: np.unique sets keyed by their bytes.
+
+    The successor of a subset on symbol s is the union over tables of
+    table[subset, s]; states outside the boolean mask `keep` are dropped
+    from every subset, seeds included.
+    """
+    S = move_tables[0].shape[1]
+    index = {}
+    subsets = []
+    seed_ids = []
+    for seed in seeds:
+        init = np.unique(np.asarray(seed, dtype=np.int32))
+        if keep is not None:
+            init = init[keep[init]]
+        key = init.tobytes()
+        if key not in index:
+            index[key] = len(subsets)
+            subsets.append(init)
+        seed_ids.append(index[key])
+    rows = []
+    qpos = 0
+    while qpos < len(subsets):
+        sub = subsets[qpos]
+        row = np.empty(S, dtype=np.int32)
+        for s in range(S):
+            nxt = np.unique(np.concatenate([t[sub, s] for t in move_tables])).astype(np.int32)
+            if keep is not None:
+                nxt = nxt[keep[nxt]]
+            key = nxt.tobytes()
+            tid = index.get(key)
+            if tid is None:
+                tid = len(subsets)
+                index[key] = tid
+                subsets.append(nxt)
+            row[s] = tid
+        rows.append(row)
+        qpos += 1
+    outs = np.array([1 if accepting_mask[sub].any() else 0 for sub in subsets], dtype=np.int32)
+    return np.vstack(rows), outs, seed_ids
+
+
+def _pad_closure(delta, start, symbols):
+    """States reachable from `start` reading only `symbols`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        q = stack.pop()
+        for s in symbols:
+            t = int(delta[q, s])
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return sorted(seen)
+
+
+def _assert_same_subsets(got, want):
+    assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+    assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+    assert list(got[2]) == list(want[2])
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_subsets_match_reference(arity):
+    """Several seeds over one table (zero_normalize) and over the two tables
+    of a dropped track with a keep mask (project)."""
+    rng = np.random.default_rng(arity * 101)
+    for trial in range(40):
+        n = int(rng.integers(1, 12))
+        delta = rng.integers(0, n, (n, 1 << arity)).astype(np.int32)
+        acc = rng.random(n) < 0.3
+        accepting = set(np.flatnonzero(acc).tolist())
+        seeds = [rng.integers(0, n, int(rng.integers(0, 4))) for _ in range(3)]
+        succ = [[(int(t),) for t in delta[:, s]] for s in range(1 << arity)]
+        got = au._subsets([x.tolist() for x in seeds], succ, accepting)
+        _assert_same_subsets(got, _subset_multi(seeds, [delta], acc))
+
+        keep = rng.random(n) < 0.7
+        i0, i1 = au._insert_bit_tables(arity, int(rng.integers(0, arity)))
+        tables = [delta[:, i0], delta[:, i1]]
+        succ = [
+            [tuple(sorted({int(t[q, s]) for t in tables if keep[t[q, s]]})) for q in range(n)]
+            for s in range(len(i0))
+        ]
+        kept_seeds = [[int(q) for q in x if keep[q]] for x in seeds]
+        got = au._subsets(kept_seeds, succ, accepting)
+        _assert_same_subsets(got, _subset_multi(seeds, tables, acc, keep))
+
+
+def test_project_and_zero_normalize_build_reference_subsets(monkeypatch):
+    """The successor tuples project and zero_normalize hand to _subsets give
+    the reference tables, keep mask included."""
+    calls = []
+    real = au._subsets
+
+    def spy(seeds, succ, accepting):
+        calls.append(real(seeds, succ, accepting))
+        return calls[-1]
+
+    monkeypatch.setattr(au, "_subsets", spy)
+    rng = np.random.default_rng(77)
+    for trial in range(60):
+        arity = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 10))
+        delta = rng.integers(0, n, (n, 1 << arity)).astype(np.int32)
+        acc = rng.random(n) < 0.4
+        a = au.Automaton(arity, delta, acc.astype(np.int32), 0, zero_normalized=True)
+        calls.clear()
+        if trial % 2:
+            track = int(rng.integers(0, arity))
+            au.project(a, track)
+            keep = au._coreachable(delta, acc)
+            seed = _pad_closure(delta, 0, (0, 1 << (arity - 1 - track)))
+            if not keep[seed].any():
+                assert not calls
+                continue
+            i0, i1 = au._insert_bit_tables(arity, track)
+            want = _subset_multi([seed], [delta[:, i0], delta[:, i1]], acc, keep)
+            _assert_same_subsets(calls.pop(0), want)
+            # project zero-normalizes the subset automaton it built
+            delta, acc = want[0], want[1] == 1
+        else:
+            au.zero_normalize(a)
+        if delta.shape[1] == 1:
+            assert not calls
+            continue
+        closure = _pad_closure(delta, 0, (0,))
+        seeds = [delta[closure, s] for s in range(1, delta.shape[1])]
+        _assert_same_subsets(calls.pop(0), _subset_multi(seeds, [delta], acc))
+        assert not calls
+
+
+def test_zero_normalize_of_singleton_subsets_at_scale():
+    """100,000 states whose subsets all stay singletons: the cost of a
+    subset follows its size, not the number of states."""
+    n = 100_000
+    rng = np.random.default_rng(0)
+    pad = np.concatenate([[0], 1 + rng.permutation(n - 1)])  # fixes state 0
+    delta = np.stack([pad, rng.permutation(n)], axis=1)
+    a = au.Automaton(1, delta, np.arange(n) % 2)
+    z = au.zero_normalize(a)
+    assert z.zero_normalized and z.n_states == n
+    for w in ("1", "10", "1101", "100101"):
+        assert z.accepts(w) == a.accepts(w) == z.accepts("00" + w)
+
+
+def _partial_state_count_reference(a, domain):
+    """Dict-based Moore refinement over the useful states of a x domain."""
+    p = au.product(a, domain, lambda x, y: x * 2 + y)
+    a_out = p.outputs // 2
+    d_acc = p.outputs % 2 == 1
+    target = d_acc & (a_out == 1) if a.is_boolean else d_acc
+    useful = au._coreachable(p.delta, target)
+    if not useful[p.initial]:
+        return 0
+    n, S = p.delta.shape
+    allowed = useful[p.delta]
+    outkey = np.where(d_acc, a_out, -1)
+    states = [q for q in range(n) if useful[q]]
+    classes = {}
+    for q in states:
+        classes.setdefault((int(outkey[q]), tuple(bool(x) for x in allowed[q])), []).append(q)
+    ids = {q: i for i, members in enumerate(classes.values()) for q in members}
+    changed = True
+    while changed:
+        buckets = {}
+        for q in states:
+            succ = tuple(ids[int(p.delta[q, s])] if allowed[q, s] else -1 for s in range(S))
+            buckets.setdefault((ids[q], succ), []).append(q)
+        changed = len(buckets) != len(set(ids.values()))
+        ids = {q: i for i, members in enumerate(buckets.values()) for q in members}
+    reach = {ids[p.initial]}
+    frontier = [p.initial]
+    seen = {p.initial}
+    while frontier:
+        q = frontier.pop()
+        for s in range(S):
+            if allowed[q, s]:
+                t = int(p.delta[q, s])
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+                reach.add(ids[t])
+    return len(reach)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_partial_state_count_matches_reference(arity):
+    rng = np.random.default_rng(arity * 31)
+    for trial in range(150):
+        n = int(rng.integers(1, 12))
+        if trial % 2:
+            a = au.Automaton(arity, rng.integers(0, n, (n, 1 << arity)), rng.random(n) < 0.5)
+        else:  # values from -1: the sink's key must differ from every value
+            a = au.Automaton(arity, rng.integers(0, n, (n, 1 << arity)), rng.integers(-1, 3, n))
+        m = int(rng.integers(1, 8))
+        domain = au.Automaton(arity, rng.integers(0, m, (m, 1 << arity)), rng.random(m) < 0.6)
+        want = _partial_state_count_reference(a, domain)
+        assert au.partial_state_count(a, domain) == want, trial
+    valid = arith.valid() if arity == 1 else arith.valid_tracks(2)
+    for a in (arith.lt(), arith.eq()) if arity == 2 else (arith.mod_dfao(3, verify_bound=2000),):
+        assert au.partial_state_count(a, valid) == _partial_state_count_reference(a, valid)
+
+
+def test_subset_limit_is_enforced(monkeypatch):
+    """Regex compilation, determinization, E projection and padding
+    normalization all stop at SUBSET_LIMIT subsets."""
+    lt = arith.lt()
+    sm = small_dfa("10(100*10)*0*")
+    # the third symbol from the end is 1: 8 subsets
+    nfa = au.Nfa(1, 4, (0,), (3,), {
+        (0, 0): (0,), (0, 1): (0, 1), (1, 0): (2,), (1, 1): (2,), (2, 0): (3,), (2, 1): (3,),
+    })
+    monkeypatch.setattr(au, "SUBSET_LIMIT", 3)
+    for build in (
+        lambda: au.regex_compile("(0|1)*1(0|1)(0|1)", 1),
+        lambda: au.determinize(nfa),
+        lambda: au.project(lt, 0),
+        lambda: au.zero_normalize(sm),
+    ):
+        with pytest.raises(au.DeterminizationLimit):
+            build()
+
+
+def test_refinement_survives_hash_collisions(catalog, monkeypatch):
+    """With _HASH_MOD = 2 the hashed refinement stops early; the exact
+    fallback still gives the canonical forms and the reported counts."""
+    rng = np.random.default_rng(5)
+    auts = [catalog[name] for name in catalog.names]
+    auts += [_random_dfao(rng, arity, n_states=20) for arity in (1, 2, 3) for _ in range(5)]
+    want = [au.minimize(a) for a in auts]
+    valid = arith.valid()
+    mods = {k: arith.mod_dfao(k, verify_bound=2000) for k in (2, 3)}
+    stable = []
+    real = au._partition_stable
+
+    def spy(delta, ids):
+        stable.append(real(delta, ids))
+        return stable[-1]
+
+    monkeypatch.setattr(au, "_partition_stable", spy)
+    monkeypatch.setattr(au, "_HASH_MOD", 2)
+    for a, m in zip(auts, want):
+        got = au.minimize(a)
+        assert np.array_equal(got.delta, m.delta) and np.array_equal(got.outputs, m.outputs)
+    for k, dfao in mods.items():
+        assert au.partial_state_count(dfao, valid) == 2 * k * k
+    assert False in stable  # the exact fallback ran
