@@ -642,20 +642,22 @@ def project(a: Automaton, track: int) -> Automaton:
         frontier = nxt - closure
     acc = a.outputs == 1
     # states with no accepting future never matter inside a subset
-    keep = _coreachable(a.delta, acc).tolist()
+    keep = _coreachable(a.delta, acc)
     seed = [q for q in closure if keep[q]]
     if not seed:
-        empty = Automaton(
+        return Automaton(
             a.arity - 1,
             np.zeros((1, 1 << (a.arity - 1)), dtype=np.int32),
             np.array([0], dtype=np.int32),
             0,
             zero_normalized=True,
         )
-        return empty
+    # successors of q on a reduced symbol: the kept ones of lo <= hi, once
+    lo, hi = np.minimum(t0, t1).T, np.maximum(t0, t1).T
+    klo, khi = keep[lo], keep[hi] & (hi != lo)
     succ = [
-        [tuple(q for q in sorted({x, y}) if keep[q]) for x, y in zip(c0, c1)]
-        for c0, c1 in zip(t0.T.tolist(), t1.T.tolist())
+        [(x, y) if kx and ky else (x,) if kx else (y,) if ky else () for x, y, kx, ky in zip(*c)]
+        for c in zip(lo.tolist(), hi.tolist(), klo.tolist(), khi.tolist())
     ]
     rows, outs, _ = _subsets([seed], succ, set(np.flatnonzero(acc).tolist()))
     out = Automaton(a.arity - 1, rows, outs)

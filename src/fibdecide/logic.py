@@ -17,7 +17,8 @@ onto the sorted free-variable list; compound terms introduce fresh
 existentially quantified intermediates constrained through the addition
 relation; `A` desugars to `~E~`; every automaton in the pipeline stays
 zero-normalized, minimized, and restricted to valid tracks, which is what
-makes complementation mean logical negation over numbers.
+makes complementation mean logical negation over numbers (which connectives
+must re-restrict, and why, is noted at `Compiler._bool`).
 """
 
 from __future__ import annotations
@@ -551,10 +552,18 @@ class Compiler:
 
     def __init__(self, lookup):
         self._lookup = lookup  # name -> Automaton, raises KeyError
-        self._value_dfa_cache: dict[tuple, Automaton] = {}
+        self._value_dfa_cache: dict[tuple, tuple[Automaton, Automaton]] = {}
+
+    _CONNECTIVES = {  # pointwise output of each binary connective
+        "&": lambda u, v: u & v,
+        "|": lambda u, v: u | v,
+        "=>": lambda u, v: (1 - u) | v,
+        "<=>": lambda u, v: (u == v).astype(np.int32),
+    }
 
     # every CompiledQuery automaton is zero-normalized, minimized, and
-    # accepts only strings whose tracks are all valid
+    # accepts only strings whose tracks are all valid; automata applied by
+    # name enter through _value_dfa, which makes them so
 
     def compile(self, f: Formula) -> CompiledQuery:
         fresh = _Fresh()
@@ -597,33 +606,20 @@ class Compiler:
         if q.variables == allvars:
             return q.aut
         positions = [allvars.index(v) for v in q.variables]
-        lifted = au.cylindrify(q.aut, positions, len(allvars))
-        # constrain the fresh tracks to valid strings
-        return au.intersect(lifted, arith.valid_tracks(len(allvars)))
+        return au.cylindrify(q.aut, positions, len(allvars))
 
+    # _lift leaves a side's new tracks free, so _bool intersects with the valid
+    # tracks V once, after the product: op(x & V, y & V) & V = op(x, y) & V.
+    # & needs no V (each track belongs to a side that already restricts it),
+    # nor does | over equal variables; =>, <=> and | over different ones do.
     def _bool(self, op: str, a: CompiledQuery, b: CompiledQuery) -> CompiledQuery:
-        allvars = tuple(sorted(set(a.variables) | set(b.variables)))
-        x = self._lift(a, allvars)
-        y = self._lift(b, allvars)
-        if op == "&":
-            out = au.product(x, y, lambda u, v: u & v)
-            needs_domain = False
-        elif op == "|":
-            out = au.product(x, y, lambda u, v: u | v)
-            needs_domain = False
-        elif op == "=>":
-            out = au.product(x, y, lambda u, v: (1 - u) | v)
-            needs_domain = True
-        elif op == "<=>":
-            out = au.product(x, y, lambda u, v: (u == v).astype(np.int32))
-            needs_domain = True
-        else:
+        if op not in self._CONNECTIVES:
             raise CompileError(f"unknown connective {op}")
-        if needs_domain:
+        allvars = tuple(sorted(set(a.variables) | set(b.variables)))
+        out = au.product(self._lift(a, allvars), self._lift(b, allvars), self._CONNECTIVES[op])
+        if op != "&" and (op != "|" or a.variables != b.variables):
             out = au.intersect(out, arith.valid_tracks(len(allvars)))
-        out = au.minimize(out)
-        out = Automaton(out.arity, out.delta, out.outputs, out.initial, zero_normalized=True)
-        return CompiledQuery(out, allvars)
+        return CompiledQuery(au.minimize(out), allvars)
 
     def _conj_eliminate(self, queries, eliminate) -> CompiledQuery:
         """Conjoin constraint queries, projecting helper variables eagerly.
@@ -655,14 +651,17 @@ class Compiler:
     def _negate(self, q: CompiledQuery) -> CompiledQuery:
         flipped = au.complement(q.aut)
         out = au.minimize(au.intersect(flipped, arith.valid_tracks(q.arity)))
-        out = Automaton(out.arity, out.delta, out.outputs, out.initial, zero_normalized=True)
         return CompiledQuery(out, q.variables)
 
     def _exists(self, q: CompiledQuery, name: str) -> CompiledQuery:
         if name not in q.variables:
             return q
         idx = q.variables.index(name)
-        out = au.minimize(au.project(q.aut, idx))
+        try:
+            out = au.project(q.aut, idx)  # minimized and canonical
+        except au.DeterminizationLimit as e:
+            where = f"eliminating {name} (arity {q.arity}, {q.aut.n_states} states)"
+            raise au.DeterminizationLimit(f"{where}: {e}") from e
         rest = tuple(v for v in q.variables if v != name)
         return CompiledQuery(out, rest)
 
@@ -786,6 +785,7 @@ class Compiler:
             )
         if not aut.is_boolean:
             raise CompileError(f"${f.name} is a DFAO; use {f.name}[...]=@v")
+        aut = self._value_dfa(f.name, 1)
         arg_names = []
         constraints: list[CompiledQuery] = []
         fresh_names: list[str] = []
@@ -805,23 +805,19 @@ class Compiler:
         return out
 
     def _value_dfa(self, name: str, value: int) -> Automaton:
-        key = (name, value)
-        if key not in self._value_dfa_cache:
-            try:
-                dfao = self._lookup(name)
-            except KeyError:
-                raise CompileError(f"unknown sequence automaton {name}") from None
-            picked = Automaton(
-                dfao.arity,
-                dfao.delta,
-                (dfao.outputs == value).astype(np.int32),
-                dfao.initial,
-            )
-            out = au.zero_normalize(
-                au.minimize(au.intersect(picked, arith.valid_tracks(dfao.arity)))
-            )
-            self._value_dfa_cache[key] = out
-        return self._value_dfa_cache[key]
+        """Where `name` outputs `value`: valid tracks only, zero-normalized and
+        minimized, which a `reg` or stored automaton need not be on its own."""
+        try:
+            aut = self._lookup(name)
+        except KeyError:
+            raise CompileError(f"unknown sequence automaton {name}") from None
+        hit = self._value_dfa_cache.get((name, value))
+        if hit is None or hit[0] is not aut:  # a forced redefinition replaces aut
+            outs = (aut.outputs == value).astype(np.int32)
+            picked = Automaton(aut.arity, aut.delta, outs, aut.initial)
+            valid = au.minimize(au.intersect(picked, arith.valid_tracks(aut.arity)))
+            hit = self._value_dfa_cache[(name, value)] = (aut, au.zero_normalize(valid))
+        return hit[1]
 
     def _dfao(self, f: DfaoTest, fresh) -> CompiledQuery:
         aut = self._value_dfa(f.name, f.value)

@@ -429,6 +429,28 @@ def test_project_and_zero_normalize_build_reference_subsets(monkeypatch):
         assert not calls
 
 
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_project_is_canonical(arity):
+    """project's result is already minimal and canonically numbered, so the
+    compiler's E step does not minimize it again; empty seeds included."""
+    rng = np.random.default_rng(arity * 31 + 5)
+    empty = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 7))
+        delta = rng.integers(0, n, (n, 1 << arity)).astype(np.int32)
+        acc = rng.random(n) < (0.0 if trial % 5 == 0 else 0.3)
+        a = au.zero_normalize(au.Automaton(arity, delta, acc.astype(np.int32)))
+        for track in range(arity):
+            p = au.project(a, track)
+            empty += not p.outputs.any()
+            m = au.minimize(p)
+            assert (m.initial, m.arity, m.zero_normalized) == (p.initial, p.arity, True)
+            for field in ("delta", "outputs"):
+                assert getattr(m, field).dtype == getattr(p, field).dtype
+                assert np.array_equal(getattr(m, field), getattr(p, field)), (trial, track)
+    assert empty
+
+
 def test_zero_normalize_of_singleton_subsets_at_scale():
     """100,000 states whose subsets all stay singletons: the cost of a
     subset follows its size, not the number of states."""

@@ -230,3 +230,144 @@ def test_package_exports():
     assert fibdecide.decode("11") == 3
     assert fibdecide.oracle("a105774").value(9) == 12
     assert fibdecide.__version__
+
+
+# -- connectives against the compiler that intersected every lifted side -----
+
+
+class _ReferenceCompiler(logic.Compiler):
+    """Each lifted side intersected with the valid tracks before the product,
+    and => / <=> intersected again after it."""
+
+    def _lift(self, q, allvars):
+        if q.variables == allvars:
+            return q.aut
+        positions = [allvars.index(v) for v in q.variables]
+        lifted = au.cylindrify(q.aut, positions, len(allvars))
+        return au.intersect(lifted, arith.valid_tracks(len(allvars)))
+
+    def _bool(self, op, a, b):
+        allvars = tuple(sorted(set(a.variables) | set(b.variables)))
+        x = self._lift(a, allvars)
+        y = self._lift(b, allvars)
+        if op == "&":
+            out = au.product(x, y, lambda u, v: u & v)
+            needs_domain = False
+        elif op == "|":
+            out = au.product(x, y, lambda u, v: u | v)
+            needs_domain = False
+        elif op == "=>":
+            out = au.product(x, y, lambda u, v: (1 - u) | v)
+            needs_domain = True
+        elif op == "<=>":
+            out = au.product(x, y, lambda u, v: (u == v).astype(np.int32))
+            needs_domain = True
+        else:
+            raise logic.CompileError(f"unknown connective {op}")
+        if needs_domain:
+            out = au.intersect(out, arith.valid_tracks(len(allvars)))
+        out = au.minimize(out)
+        out = au.Automaton(out.arity, out.delta, out.outputs, out.initial, zero_normalized=True)
+        return logic.CompiledQuery(out, allvars)
+
+
+_ATOMS = {  # name -> (template, arity)
+    "eq": ("{}={}", 2),
+    "lt": ("{}<{}", 2),
+    "add": ("{}+{}={}", 3),
+    "const": ("{}=3", 1),
+    "rel": ("$phin({},{})", 2),
+}
+
+
+def _atom_pairs():
+    """(left, right) atom formulas whose variable sets are equal, nested,
+    overlapping or disjoint."""
+    for ta, ka in _ATOMS.values():
+        for tb, kb in _ATOMS.values():
+            a = "abc"[:ka]
+            new = "xyz"
+            cases = {
+                "equal": a[::-1] if ka == kb else None,
+                "nested": a[:kb] if kb < ka else a + new[: kb - ka] if kb > ka else None,
+                "overlapping": a[-1] + new[: kb - 1] if ka > 1 and kb > 1 else None,
+                "disjoint": new[:kb],
+            }
+            for kind, b in cases.items():
+                if b is not None:
+                    yield kind, ta.format(*a), tb.format(*b)
+
+
+def test_connectives_match_reference_compiler(catalog):
+    lookup = logic.Session(catalog)._lookup
+    new, ref = logic.Compiler(lookup), _ReferenceCompiler(lookup)
+    kinds = set()
+    for kind, x, y in _atom_pairs():
+        kinds.add(kind)
+        for op in ("&", "|", "=>", "<=>"):
+            f = logic.parse_formula(f"({x}) {op} ({y})")
+            got, want = new.compile(f), ref.compile(f)
+            assert got.variables == want.variables, (x, op, y)
+            for field in ("delta", "outputs"):
+                g, w = getattr(got.aut, field), getattr(want.aut, field)
+                assert g.dtype == w.dtype and np.array_equal(g, w), (x, op, y)
+            assert (got.aut.initial, got.aut.zero_normalized) == (want.aut.initial, True)
+    assert kinds == {"equal", "nested", "overlapping", "disjoint"}
+
+
+def test_or_over_different_variables_stays_valid(session):
+    """x=1 | y=2 leaves x free where y=2; only the valid tracks cut it back."""
+    q = session.compile("Ey (x=1 | y=2)")
+    assert q.variables == ("x",)
+    assert au.equivalent(q.aut, au.intersect(q.aut, arith.valid_tracks(1)))
+    assert not q.aut.accepts("11")
+    assert q.aut.accepts_numbers(0) and q.aut.accepts_numbers(4)
+
+
+def test_conjunction_takes_one_product(session, monkeypatch):
+    session.compile("x<y & y<z")  # build the cached relations first
+    calls = []
+    real = au.product
+
+    def spy(*args):
+        calls.append(args[0].arity)
+        return real(*args)
+
+    monkeypatch.setattr(au, "product", spy)
+    q = session.compile("x<y & y<z")
+    assert calls == [3]
+    assert q.aut.accepts_numbers(1, 2, 3) and not q.aut.accepts_numbers(1, 3, 2)
+
+
+def test_subset_limit_names_the_eliminated_variable(session, monkeypatch):
+    arith.lt()  # the relation itself is built without the limit
+    monkeypatch.setattr(au, "SUBSET_LIMIT", 3)
+    with pytest.raises(au.DeterminizationLimit, match="eliminating w .arity 2") as info:
+        session.compile("Ew w<x")
+    assert isinstance(info.value.__cause__, au.DeterminizationLimit)
+
+
+# -- automata applied by name enter the compiler restricted and normalized ----
+
+
+def test_reg_of_invalid_strings_holds_for_no_number(session):
+    """0*11 is no Zeckendorf representation, so $bad holds for no n, also
+    inside a conjunction that leaves the lifted tracks to the sides."""
+    session.run_script('reg bad msd_fib "0*11":\n')
+    assert not session.eval("Ex $bad(x)")
+    assert not session.eval("Ex,y $bad(x) & y=0")
+    assert session.eval("An ~$bad(n)")
+
+
+def test_reg_without_leading_zeros_is_zero_normalized(session):
+    session.run_script('reg one msd_fib "1":\n')
+    assert session.eval("An $one(n) <=> n=1")
+
+
+def test_forced_redefinition_reaches_the_compiler(session):
+    session.define("P", "n=2")
+    assert session.eval("Ex $P(x) & x=2") and session.eval("P[2]=@1")
+    session.define("P", "n=3", force=True)
+    assert not session.eval("Ex $P(x) & x=2")
+    assert not session.eval("P[2]=@1")
+    assert session.eval("P[3]=@1")
