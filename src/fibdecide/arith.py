@@ -107,10 +107,19 @@ def leq() -> Automaton:
     return _finish(au.union(lt(), eq()))
 
 
-_ADD_CACHE: dict[int, Automaton] = {}
+# Induction on y; succ is defined from < alone, so no query has a + term.
+# zero and step give cand(x, y, x+y) and functional leaves no other z.
+_ADD_SUCC = ("succ", "x<y & ~(Ez x<z & z<y)")
+_ADD_CERT = [
+    ("zero", "Ax $cand(x,0,x)"),
+    ("total", "Ax,y Ez $cand(x,y,z)"),
+    ("functional", "Ax,y,z,w ($cand(x,y,z) & $cand(x,y,w)) => z=w"),
+    ("step", "Ax,y,z,u,w ($cand(x,y,z) & $succ(y,u) & $succ(z,w)) => $cand(x,u,w)"),
+]
 
 
-def add(_start_bound: int = 4) -> Automaton:
+@lru_cache(maxsize=None)
+def add() -> Automaton:
     """Triples (x, y, z) with x + y = z, every track valid.
 
     Msd-first balance recognizer.  A state is an integer pair (p, q): after
@@ -118,19 +127,20 @@ def add(_start_bound: int = 4) -> Automaton:
     value(z) equals p*F(m+2) + q*F(m+1) where m symbols remain.  Reading a
     digit triple with d = a + b - c maps (p, q) to (p + q + d, p); the final
     imbalance is p*F(2) + q*F(1) = p + q, so acceptance is p + q = 0.
-    Pairs with |p| or |q| above the bound cannot cancel any more and are
-    pruned; the bound is validated exhaustively below and doubled on
-    failure.
+    Pairs with |p| or |q| above 4 are pruned as unable to cancel any more;
+    :func:`_certify_add` proves the pruned automaton is exactly addition.
     """
-    if 3 in _ADD_CACHE:
-        return _ADD_CACHE[3]
-    bound = _start_bound
-    while True:
-        cand = _add_with_bound(bound)
-        if _add_exhaustive_ok(cand, 2000):
-            _ADD_CACHE[3] = cand
-            return cand
-        bound *= 2
+    cand = _add_with_bound(4)
+    _certify_add(cand)
+    return cand
+
+
+def _certify_add(cand: Automaton) -> None:
+    from . import synth
+
+    failed = synth.query_certificate("", _ADD_CERT, defs=[_ADD_SUCC])(cand, {}).failures
+    if failed:
+        raise CatalogError(f"add certificate fails {failed[0]}: {dict(_ADD_CERT)[failed[0]]}")
 
 
 def _add_with_bound(bound: int) -> Automaton:
@@ -161,18 +171,6 @@ def _add_with_bound(bound: int) -> Automaton:
     outputs = np.array([1 if p + q == 0 else 0 for (p, q) in order] + [0], dtype=np.int32)
     base = Automaton(3, delta, outputs, 0)
     return _finish(au.intersect(base, valid_tracks(3)))
-
-
-def _add_exhaustive_ok(cand: Automaton, n: int) -> bool:
-    """Check every (x, y, x + y) with x, y < n, x-major, in 2**20 blocks."""
-    for lo in range(0, n * n, 1 << 20):
-        xs, ys = np.divmod(np.arange(lo, min(lo + (1 << 20), n * n)), n)
-        if not bool(accepts_number_pairs(cand, xs, ys, xs + ys).all()):
-            return False
-    # wrong sums must be rejected
-    xs, ys = np.divmod(np.arange(min(50_000, n * n)), n)
-    bad = accepts_number_pairs(cand, xs, ys, xs + ys + 1)
-    return not bool(bad.any())
 
 
 @lru_cache(maxsize=None)

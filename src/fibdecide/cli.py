@@ -8,6 +8,7 @@ Exit codes are a stable contract: 0 all queries TRUE / checks passed,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -37,7 +38,13 @@ class Store:
         return self.root / f"{name}.aut"
 
     def save(self, name: str, aut: au.Automaton) -> None:
-        self.path(name).write_text(au.serialize(aut))
+        """Replace name.aut whole: a failed write leaves the old file as it was."""
+        tmp = self.root / f".{name}.{os.getpid()}.tmp"
+        try:
+            tmp.write_text(au.serialize(aut))
+            os.replace(tmp, self.path(name))
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def load(self, name: str) -> au.Automaton | None:
         p = self.path(name)

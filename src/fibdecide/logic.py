@@ -730,9 +730,9 @@ class Compiler:
         if len(set(names)) == len(names):
             order = tuple(sorted(names))
             positions = [order.index(v) for v in names]
-            aut = au.cylindrify(rel, positions, len(order))
-            aut = au.minimize(aut)
-            aut = Automaton(aut.arity, aut.delta, aut.outputs, aut.initial, True)
+            aut = au.minimize(au.cylindrify(rel, positions, len(order)))
+            if not aut.zero_normalized:
+                aut = au.zero_normalize(aut)
             return CompiledQuery(aut, order)
         # duplicated variable: diagonalize through equality
         uniq = []

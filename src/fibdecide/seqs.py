@@ -57,13 +57,6 @@ __all__ = [
 # -- core recurrence tables -------------------------------------------------
 
 
-def _fib_list(limit: int) -> list[int]:
-    fs = [0, 1]
-    while fs[-1] <= limit:
-        fs.append(fs[-1] + fs[-2])
-    return fs
-
-
 def a105774_table(n: int) -> np.ndarray:
     """Values a(0..n-1) of the self-referential Fibonacci recurrence.
 

@@ -1,8 +1,12 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from fibdecide import arith
 from fibdecide import automata as au
+from fibdecide import logic
 from fibdecide import numeration as nu
 
 
@@ -64,25 +68,87 @@ def test_batch_membership_rejects_negatives_and_ragged_columns():
         arith.accepts_number_pairs(arith.eq(), [1, 2], [1])
 
 
-def test_add_exhaustive_check_visits_the_grid_in_order(monkeypatch):
-    """Same tuples, same order and same blocks as the x-major meshgrid."""
-    n = 1100  # two 2**20 blocks, the second partial
-    seen = []
+def test_add_exhaustive_cross_check():
+    """Every (x, y, x + y) with x, y < 2000, x-major in 2**20 blocks, and the
+    first 50,000 wrong sums x + y + 1 rejected."""
+    add = arith.add()
+    n = 2000
+    for lo in range(0, n * n, 1 << 20):
+        xs, ys = np.divmod(np.arange(lo, min(lo + (1 << 20), n * n)), n)
+        assert bool(arith.accepts_number_pairs(add, xs, ys, xs + ys).all())
+    xs, ys = np.divmod(np.arange(50_000), n)
+    assert not arith.accepts_number_pairs(add, xs, ys, xs + ys + 1).any()
 
-    def record(aut, *cols):  # stands in for a correct addition automaton
-        seen.append([np.array(c) for c in cols])
-        return cols[0] + cols[1] == cols[2]
 
-    monkeypatch.setattr(arith, "accepts_number_pairs", record)
-    assert arith._add_exhaustive_ok(None, n)
-    xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    xs, ys = xs.ravel(), ys.ravel()
-    want = [(xs[:1 << 20], ys[:1 << 20], (xs + ys)[:1 << 20]),
-            (xs[1 << 20:], ys[1 << 20:], (xs + ys)[1 << 20:]),
-            (xs[:50_000], ys[:50_000], (xs + ys)[:50_000] + 1)]
-    assert len(seen) == len(want)
-    for got, cols in zip(seen, want):
-        assert all(np.array_equal(g, c) for g, c in zip(got, cols))
+def _admitted(aut):
+    """aut as the compiler applies it by name, which is what a certificate's
+    queries see."""
+    return logic.Session({"a": aut}).compiler._value_dfa("a", 1)
+
+
+def _digest(aut) -> str:
+    h = hashlib.sha256()
+    for arr in (aut.delta, aut.outputs):
+        h.update(f"{arr.dtype} {arr.shape}".encode())
+        h.update(arr.tobytes())
+    h.update(f"{aut.initial} {aut.zero_normalized}".encode())
+    return h.hexdigest()
+
+
+# add() as it was built when a 2000x2000 exhaustive check accepted it
+ADD_DIGEST = "7b23c78ddee08629b2fdb09837cd1c0b9c279f5adfd827fe78af2b880ef723ec"
+
+
+def test_add_is_byte_identical_to_the_exhaustively_checked_build():
+    assert _digest(arith.add()) == ADD_DIGEST
+
+
+def test_add_equals_its_admitted_form():
+    """The certificate proves the admitted form; it is add() itself."""
+    assert _digest(_admitted(arith.add())) == _digest(arith.add())
+
+
+@pytest.mark.parametrize("name, body", [
+    ("zero", "z=x+y+1"),
+    ("functional", "x+y<=z"),
+    ("step", "(y=0 & z=x) | (y>0 & z=x+y+1)"),
+])
+def test_add_certificate_needs_each_formula(name, body):
+    """Each relation breaks one formula only (total follows from zero and
+    step), and the error names that formula."""
+    wrong = logic.Session({}).define("r", body)
+    formula = dict(arith._ADD_CERT)[name]
+    with pytest.raises(arith.CatalogError, match=f"fails {name}: {re.escape(formula)}$"):
+        arith._certify_add(wrong)
+
+
+def test_add_certificate_rejects_every_differing_mutant():
+    """Redirect each transition out of a live state of add() to another state
+    (seeded).  A mutant whose admitted form is not addition must fail the
+    certificate, whether or not it passes a 300x300 grid; one that differs
+    only on invalid tracks or padding is admitted as add() and must pass."""
+    add = arith.add()
+    n = add.n_states
+    live = [q for q in range(n) if add.outputs[q] or (add.delta[q] != q).any()]
+    rng = np.random.default_rng(0)
+    xs, ys = np.divmod(np.arange(300 * 300), 300)
+    differing = grid_fooled = 0
+    for q in live:
+        for s in range(add.n_symbols):
+            delta = add.delta.copy()
+            delta[q, s] = (delta[q, s] + rng.integers(1, n)) % n
+            mutant = au.Automaton(3, delta, add.outputs, add.initial)
+            if au.equivalent(_admitted(mutant), add):
+                arith._certify_add(mutant)
+                continue
+            differing += 1
+            with pytest.raises(arith.CatalogError, match=r"add certificate fails \w+: A"):
+                arith._certify_add(mutant)
+            grid_fooled += bool(
+                arith.accepts_number_pairs(mutant, xs, ys, xs + ys).all()
+                and not arith.accepts_number_pairs(mutant, xs, ys, xs + ys + 1).any()
+            )
+    assert len(live) == n - 1 and differing > 0 and grid_fooled > 0
 
 
 def test_add_commutes():

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,24 @@ def test_store_roundtrip(tmp_path, catalog):
     back = store.load("eq")
     assert au.equivalent(back, catalog["eq"])
     assert store.load("missing") is None
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path, catalog, monkeypatch):
+    """A write that fails halfway leaves the old .aut loadable and no temp file."""
+    store = cli.Store(tmp_path / "s")
+    store.save("rel", catalog["eq"])
+    real_write_text = Path.write_text
+
+    def torn_write(path, text):
+        real_write_text(path, text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError, match="No space"):
+        store.save("rel", catalog["lt"])
+    monkeypatch.undo()
+    assert [p.name for p in store.root.iterdir()] == ["rel.aut"]
+    assert au.equivalent(store.load("rel"), catalog["eq"])
 
 
 def test_run_script_all_true(tmp_path, warm_store, capsys):

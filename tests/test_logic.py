@@ -371,3 +371,16 @@ def test_forced_redefinition_reaches_the_compiler(session):
     assert not session.eval("Ex $P(x) & x=2")
     assert not session.eval("P[2]=@1")
     assert session.eval("P[3]=@1")
+
+
+def test_oriented_zero_normalizes_an_unflagged_relation():
+    """A relation accepting (1, 0) only as the unpadded word [1,0]: the
+    compiled atom must accept it padded too, not just carry the flag."""
+    delta = np.full((3, 4), 2, dtype=np.int32)
+    delta[0, 0b10] = 1
+    outputs = np.array([0, 1, 0], dtype=np.int32)
+    rel = au.Automaton(2, delta, outputs, 0)
+    q = logic.Compiler(lambda name: None)._oriented(rel, ("y", "x"))
+    assert q.variables == ("x", "y") and q.aut.zero_normalized
+    assert q.aut.accepts("[0,1]") and q.aut.accepts("[0,0][0,0][0,1]")
+    assert not q.aut.accepts("[1,0]")
