@@ -23,6 +23,7 @@ must re-restrict, and why, is noted at `Compiler._bool`).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -537,16 +538,6 @@ class CompiledQuery:
         return len(self.variables)
 
 
-class _Fresh:
-    def __init__(self):
-        self.counter = 0
-
-    def __call__(self) -> str:
-        name = f"_{self.counter}"
-        self.counter += 1
-        return name
-
-
 class Compiler:
     """Compile formulas against a name -> automaton environment."""
 
@@ -566,17 +557,20 @@ class Compiler:
     # name enter through _value_dfa, which makes them so
 
     def compile(self, f: Formula) -> CompiledQuery:
-        fresh = _Fresh()
-        return self._compile(f, fresh)
+        return self._compile(f, itertools.count())
 
     def _compile(self, f: Formula, fresh) -> CompiledQuery:
         if isinstance(f, Compare):
-            return self._compare(f, fresh)
-        if isinstance(f, Apply):
-            return self._apply(f, fresh)
-        if isinstance(f, DfaoTest):
-            q = self._dfao(f, fresh)
-            return self._negate(q) if f.negated else q
+            # > and >= swap the sides; != is the negation of =
+            op = "=" if f.op == "!=" else f.op
+            terms = (f.left, f.right)
+            if op in (">", ">="):
+                op, terms = op.replace(">", "<"), terms[::-1]
+            rel = {"=": arith.eq, "<": arith.lt, "<=": arith.leq}[op]()
+            q = self._atom(rel, terms, fresh)
+            return self._negate(q) if f.op == "!=" else q
+        if isinstance(f, (Apply, DfaoTest)):
+            return self._applied(f, fresh)
         if isinstance(f, Not):
             return self._negate(self._compile(f.body, fresh))
         if isinstance(f, BoolOp):
@@ -584,23 +578,17 @@ class Compiler:
             right = self._compile(f.right, fresh)
             return self._bool(f.op, left, right)
         if isinstance(f, Quant):
+            # A is ~E~; last-listed variables go first: eliminating the most
+            # applied (usually value-side) track keeps the powerset small
             body = self._compile(f.body, fresh)
-            # last-listed variables go first: eliminating the most applied
-            # (usually value-side) track keeps the powerset small
-            if f.kind == "E":
-                for name in reversed(f.names):
-                    body = self._exists(body, name)
-                return body
-            neg = self._negate(body)
+            if f.kind == "A":
+                body = self._negate(body)
             for name in reversed(f.names):
-                neg = self._exists(neg, name)
-            return self._negate(neg)
+                body = self._exists(body, name)
+            return self._negate(body) if f.kind == "A" else body
         raise TypeError(f)
 
     # ---- building blocks
-
-    def _true(self, variables=()) -> CompiledQuery:
-        return CompiledQuery(arith.valid_tracks(len(variables)), tuple(variables))
 
     def _lift(self, q: CompiledQuery, allvars: tuple) -> Automaton:
         if q.variables == allvars:
@@ -621,33 +609,6 @@ class Compiler:
             out = au.intersect(out, arith.valid_tracks(len(allvars)))
         return CompiledQuery(au.minimize(out), allvars)
 
-    def _conj_eliminate(self, queries, eliminate) -> CompiledQuery:
-        """Conjoin constraint queries, projecting helper variables eagerly.
-
-        Joining pieces that share variables first and dropping a fresh
-        variable the moment its last constraint is merged keeps the
-        intermediate arity low; carrying every helper to the end is the
-        main compile-time cost otherwise.
-        """
-        eliminate = set(eliminate)
-        remaining = list(queries)
-        acc = remaining.pop(0)
-        while remaining:
-            shared = [
-                len(set(q.variables) & set(acc.variables)) for q in remaining
-            ]
-            best = max(range(len(remaining)), key=lambda i: shared[i])
-            q = remaining.pop(best)
-            acc = self._bool("&", acc, q)
-            later = set()
-            for r in remaining:
-                later.update(r.variables)
-            for v in [x for x in acc.variables if x in eliminate and x not in later]:
-                acc = self._exists(acc, v)
-        for v in [x for x in acc.variables if x in eliminate]:
-            acc = self._exists(acc, v)
-        return acc
-
     def _negate(self, q: CompiledQuery) -> CompiledQuery:
         flipped = au.complement(q.aut)
         out = au.minimize(au.intersect(flipped, arith.valid_tracks(q.arity)))
@@ -665,22 +626,58 @@ class Compiler:
         rest = tuple(v for v in q.variables if v != name)
         return CompiledQuery(out, rest)
 
-    # ---- terms
+    # ---- atoms
 
-    def _flatten(self, t: Term, fresh, constraints, fresh_names) -> str:
+    def _applied(self, f, fresh) -> CompiledQuery:
+        """`$name(args)` holds where name outputs 1, `Name[t]=@v` where it outputs v."""
+        args, value = (f.args, 1) if isinstance(f, Apply) else ((f.arg,), f.value)
+        shown = f"${f.name}" if isinstance(f, Apply) else f"{f.name}[...]=@{value}"
+        try:
+            aut = self._lookup(f.name)
+        except KeyError:
+            raise CompileError(f"unknown automaton {shown}") from None
+        if aut.arity != len(args):
+            raise CompileError(
+                f"{f.name} takes {aut.arity} arguments, but {shown} gives it {len(args)}"
+            )
+        if isinstance(f, Apply) and not aut.is_boolean:
+            raise CompileError(f"${f.name} is a DFAO; use {f.name}[...]=@v")
+        q = self._atom(self._value_dfa(f.name, value), args, fresh)
+        return self._negate(q) if isinstance(f, DfaoTest) and f.negated else q
+
+    def _atom(self, rel: Automaton, terms, fresh) -> CompiledQuery:
+        """Apply a relation to a tuple of terms.
+
+        Each compound term becomes a helper variable under relation
+        constraints.  Joining pieces that share variables first and dropping
+        a helper the moment its last constraint is merged keeps the
+        intermediate arity low; carrying every helper to the end is the main
+        compile-time cost otherwise.
+        """
+        constraints: list[CompiledQuery] = []
+        names = tuple(self._flatten(t, fresh, constraints) for t in terms)
+        keep = set().union(*map(_term_vars, terms))
+        acc = self._oriented(rel, names)
+        while constraints:
+            shared = [len(set(q.variables) & set(acc.variables)) for q in constraints]
+            acc = self._bool("&", acc, constraints.pop(shared.index(max(shared))))
+            later = {v for q in constraints for v in q.variables}
+            for v in [x for x in acc.variables if x not in keep and x not in later]:
+                acc = self._exists(acc, v)
+        return acc
+
+    def _flatten(self, t: Term, fresh, constraints) -> str:
         """Reduce a term to a variable, accumulating relation constraints."""
         if isinstance(t, Var):
             return t.name
         if isinstance(t, Const):
-            name = fresh()
-            fresh_names.append(name)
+            name = f"_{next(fresh)}"
             constraints.append(CompiledQuery(arith.const(t.value), (name,)))
             return name
         left_raw, right_raw = t.left, t.right
         if t.op == "*":
             if isinstance(left_raw, Const) and isinstance(right_raw, Const):
-                name = fresh()
-                fresh_names.append(name)
+                name = f"_{next(fresh)}"
                 constraints.append(
                     CompiledQuery(arith.const(left_raw.value * right_raw.value), (name,))
                 )
@@ -690,9 +687,8 @@ class Compiler:
             if not isinstance(left_raw, Const):
                 raise CompileError("multiplication needs a constant operand")
             c = left_raw.value
-            v = self._flatten(right_raw, fresh, constraints, fresh_names)
-            name = fresh()
-            fresh_names.append(name)
+            v = self._flatten(right_raw, fresh, constraints)
+            name = f"_{next(fresh)}"
             if c == 0:
                 constraints.append(CompiledQuery(arith.const(0), (name,)))
             else:
@@ -702,25 +698,22 @@ class Compiler:
         if t.op == "/":
             if not isinstance(right_raw, Const) or right_raw.value == 0:
                 raise CompileError("division needs a positive constant divisor")
-            v = self._flatten(left_raw, fresh, constraints, fresh_names)
-            name = fresh()
-            fresh_names.append(name)
+            v = self._flatten(left_raw, fresh, constraints)
+            name = f"_{next(fresh)}"
             rel = arith.const_div(right_raw.value)  # tracks (n, n//c)
             constraints.append(self._oriented(rel, (v, name)))
             return name
         if t.op == "+":
-            a = self._flatten(left_raw, fresh, constraints, fresh_names)
-            b = self._flatten(right_raw, fresh, constraints, fresh_names)
-            name = fresh()
-            fresh_names.append(name)
+            a = self._flatten(left_raw, fresh, constraints)
+            b = self._flatten(right_raw, fresh, constraints)
+            name = f"_{next(fresh)}"
             constraints.append(self._oriented(arith.add(), (a, b, name)))
             return name
         if t.op == "-":
             # relational natural subtraction: u + right = left
-            a = self._flatten(left_raw, fresh, constraints, fresh_names)
-            b = self._flatten(right_raw, fresh, constraints, fresh_names)
-            name = fresh()
-            fresh_names.append(name)
+            a = self._flatten(left_raw, fresh, constraints)
+            b = self._flatten(right_raw, fresh, constraints)
+            name = f"_{next(fresh)}"
             constraints.append(self._oriented(arith.add(), (name, b, a)))
             return name
         raise CompileError(f"unknown term operator {t.op}")
@@ -751,66 +744,10 @@ class Compiler:
             base = self._exists(base, alias)
         return base
 
-    def _compare(self, f: Compare, fresh) -> CompiledQuery:
-        constraints: list[CompiledQuery] = []
-        fresh_names: list[str] = []
-        a = self._flatten(f.left, fresh, constraints, fresh_names)
-        b = self._flatten(f.right, fresh, constraints, fresh_names)
-        op = f.op
-        negate = False
-        if op == "!=":
-            op, negate = "=", True
-        if op == ">":
-            op, (a, b) = "<", (b, a)
-        elif op == ">=":
-            op, (a, b) = "<=", (b, a)
-        if a == b:
-            base = self._true((a,)) if op in ("=", "<=") else self._negate(self._true((a,)))
-        else:
-            rel = {"=": arith.eq, "<": arith.lt, "<=": arith.leq}[op]()
-            base = self._oriented(rel, (a, b))
-        out = self._conj_eliminate([base] + constraints, fresh_names)
-        if negate:
-            out = self._negate(out)
-        return out
-
-    def _apply(self, f: Apply, fresh) -> CompiledQuery:
-        try:
-            aut = self._lookup(f.name)
-        except KeyError:
-            raise CompileError(f"unknown automaton ${f.name}") from None
-        if aut.arity != len(f.args):
-            raise CompileError(
-                f"${f.name} takes {aut.arity} arguments, got {len(f.args)}"
-            )
-        if not aut.is_boolean:
-            raise CompileError(f"${f.name} is a DFAO; use {f.name}[...]=@v")
-        aut = self._value_dfa(f.name, 1)
-        arg_names = []
-        constraints: list[CompiledQuery] = []
-        fresh_names: list[str] = []
-        for t in f.args:
-            if isinstance(t, Var) and t.name not in arg_names:
-                arg_names.append(t.name)
-            else:
-                v = self._flatten(t, fresh, constraints, fresh_names)
-                if v in arg_names:
-                    name = fresh()
-                    fresh_names.append(name)
-                    constraints.append(self._oriented(arith.eq(), (name, v)))
-                    v = name
-                arg_names.append(v)
-        base = self._oriented(aut, tuple(arg_names))
-        out = self._conj_eliminate([base] + constraints, fresh_names)
-        return out
-
     def _value_dfa(self, name: str, value: int) -> Automaton:
         """Where `name` outputs `value`: valid tracks only, zero-normalized and
         minimized, which a `reg` or stored automaton need not be on its own."""
-        try:
-            aut = self._lookup(name)
-        except KeyError:
-            raise CompileError(f"unknown sequence automaton {name}") from None
+        aut = self._lookup(name)
         hit = self._value_dfa_cache.get((name, value))
         if hit is None or hit[0] is not aut:  # a forced redefinition replaces aut
             outs = (aut.outputs == value).astype(np.int32)
@@ -818,24 +755,6 @@ class Compiler:
             valid = au.minimize(au.intersect(picked, arith.valid_tracks(aut.arity)))
             hit = self._value_dfa_cache[(name, value)] = (aut, au.zero_normalize(valid))
         return hit[1]
-
-    def _dfao(self, f: DfaoTest, fresh) -> CompiledQuery:
-        aut = self._value_dfa(f.name, f.value)
-        return self._apply_automaton(aut, (f.arg,), fresh)
-
-    def _apply_automaton(self, aut: Automaton, args, fresh) -> CompiledQuery:
-        constraints: list[CompiledQuery] = []
-        fresh_names: list[str] = []
-        names = []
-        for t in args:
-            if isinstance(t, Var) and t.name not in names:
-                names.append(t.name)
-            else:
-                v = self._flatten(t, fresh, constraints, fresh_names)
-                names.append(v)
-        base = self._oriented(aut, tuple(names))
-        out = self._conj_eliminate([base] + constraints, fresh_names)
-        return out
 
 
 # -- sessions --------------------------------------------------------------------

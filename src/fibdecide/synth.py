@@ -523,26 +523,10 @@ def _session_with(candidate: Automaton, catalog):
 
 def function_certificate(label: str):
     """Totality and uniqueness: exactly one x per n."""
-
-    queries = [
-        ("total", f"An Ex ${CANDIDATE_NAME}(n,x)"),
-        (
-            "unique",
-            f"~En,x1,x2 x1!=x2 & ${CANDIDATE_NAME}(n,x1) & ${CANDIDATE_NAME}(n,x2)",
-        ),
-    ]
-
-    def run(candidate, catalog):
-        session = _session_with(candidate, catalog)
-        checks = []
-        for name, body in queries:
-            got = session.eval(body)
-            checks.append((f"{label}_{name}", got))
-            if not got:
-                break
-        return Verdict(all(g for _, g in checks), checks)
-
-    return run
+    return query_certificate(label, [
+        ("total", "An Ex $cand(n,x)"),
+        ("unique", "~En,x1,x2 x1!=x2 & $cand(n,x1) & $cand(n,x2)"),
+    ])
 
 
 def query_certificate(label: str, queries, defs=()):
@@ -551,10 +535,10 @@ def query_certificate(label: str, queries, defs=()):
     def run(candidate, catalog):
         session = _session_with(candidate, catalog)
         for name, body in defs:
-            session.define(name, body.replace("$cand", f"${CANDIDATE_NAME}"))
+            session.define(name, body)
         checks = []
         for name, body in queries:
-            got = session.eval(body.replace("$cand", f"${CANDIDATE_NAME}"))
+            got = session.eval(body)
             checks.append((f"{label}_{name}" if label else name, got))
             if not got:
                 break

@@ -12,6 +12,9 @@ n = 6; see test_seqs.test_t_recurrence_actual_range for the verified
 fact).
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from fibdecide import reproduce as rp
@@ -19,15 +22,20 @@ from fibdecide import seqs
 
 
 @pytest.fixture(scope="module")
-def results():
+def reproduction():
     run = rp.Reproduction(
         schedule=(16384, 65536, 262144),
         verify_bound=100_000,
         phin_verify=1 << 20,
         seed=20240901,
     )
+    return run, run.run()
+
+
+@pytest.fixture(scope="module")
+def results(reproduction):
     out = {}
-    for res in run.run():
+    for res in reproduction[1]:
         out.setdefault(res.name, res)
     return out
 
@@ -105,3 +113,66 @@ def test_criterion_12_property_suites(results):
         "linrep_padding_stability",
         "engine_soundness",
     )
+
+
+# sha256 of each def/reg/combine automaton of the paper script as the
+# session holds it: dtype, shape and bytes of delta and outputs, then the
+# initial state and the zero_normalized flag
+SCRIPT_AUTOMATA = {
+    "adjfib": "0e5b6059964d2e2a6b663ed6af94f01e8e2a6eec16c20f8a3da1c17008f3a6b3",
+    "trapfib": "f1091a2d18354b06f4f348a4575f1f1b76bca25c30601c9be56ccba85caaaf56",
+    "s0": "f601e14024bd6cace41a2bda4d32d03118199874d8e30b5a3c9a524260dbc913",
+    "s2": "899d202397cdd50e2d333d6c89528f5af00c380fc444136d9833d626dbadb626",
+    "s1": "b9e143ea7138e99442fdf830396c612126235e0736d3fe21c506f318ae56ed46",
+    "C": "445ce26fb64e03cbccab7f66878f2b961e6eea864bdd41bf7cc319d31ebfecfe",
+    "a007067": "caa8ebfee24e35717a8240136688ac0129d7742d2c3eeb54b2fc85378658208c",
+    "a007064": "8427c431f8f73dee12fc9f42eb1e71d42ec8687cf336f28e2e2ecb54231ecb0c",
+    "a035487": "5f20bce946126cf185ba0f4b736b354ad815bfb5187da3bfdd2918a79d8c066e",
+    "a004937": "11812564fc635a5d272ba32eebbc3ec8c9f249ad25fe4bf522dc15683a7e1c26",
+    "lucfib": "5384ec7ed4439c7758362a507679033ca5b534e8443f132a56d5bc688d3dcc7f",
+    "suffmin": "9734cae4b0853fa9405d8782ba9efd5608e8775e02b372b916a12960be8c3d4c",
+    "a003623": "9069dea43c3afa595a3fe305df27d436adc0f46e1b681b50e1ec5bf6126d5c1b",
+    "diff": "59539138332957e22be9cfe58d8678cc9b3c721dd5d76a1a0552141ca2fec496",
+    "isfib": "5ef9264c5627f7f2eae95730077707a10429444d9a95f1ab8ce472a935608ed0",
+    "special": "24d4512497074b0bf87912d636077b69eec56666700940476cfa53474e02e01b",
+    "four": "7f2869529f22c903a09e8e2d8f072af8c990a183b65e48adcd0006b173a9df63",
+    "even": "7f99b52fdce2a0b21ba156b2a74593d50e8879a34cf118095e6c292f5de3e345",
+    "first_occ": "43cd088910ef77176a48370ec39d62f8d744070cf08c778757216b5950481119",
+    "nthrun2": "779239b207c0c79a585f7ac63108fede7d4bf3ab14038d8dd6c551da39829073",
+    "trapfib2": "da51ef33a67017b37e1a52bae1dfffa00bc79d2afc55e471019d13448fada1fd",
+    "wseq": "b8683c5d7ca55cd6bc8a34227fdc2bb0de799af8ffa9cad4bd0b719191588c14",
+    "fixed": "f831fa7d0918d75d66c3e9b6e08aef008ab32de21fa212a21e47ca6659f45926",
+    "even1": "20a8173a2b8efc6272a938b9437e8a301bcfe9c41c0f6475a668cf2e0990c283",
+    "ab": "95527bd78cace236c259113dd50f5e1e710ca35d2a95f69c33a0270e27ba7270",
+    "ba": "70dac9eef50abc5c1560c624a32f86cfdda9bb36620e33b42a2084481395a5b4",
+    "xx": "a9a8d14a4e4039585f4817b085612a7c163e24fa2122ff79ae704e0ee4b2db11",
+    "aba": "80b582ab60bdcd737eb05f55fac32def65df153539a50867a32c784bd3d0cb79",
+    "bab": "fb93254a362c72a4d937495a30b7c9611a4340d99735c13513ecb514046c668c",
+    "aab": "fc034a002a9076bb480a347d69b873b06e94dd410ab2f479d6b7c1f74b36cea2",
+    "ca": "abd86d0f38224f73aa19a845d5af46f4f716f202043e361331b89cbb66841c1d",
+    "dp": "f48d8798a965711cc483f5a9b02297194fe9abc5c7df3e97e608276a475f1d96",
+    "cab": "df2e5c0eb19e85e86b8ad46aecac3604e9fadf3abd152d70a961b2104d00faf9",
+    "abb": "7f88094bc64c12ccc65547a695c6b1cf7590ffe6edf681d74f0d00cb99594b6f",
+    "ad": "7f88094bc64c12ccc65547a695c6b1cf7590ffe6edf681d74f0d00cb99594b6f",
+    "abd": "fd3f58fc8c48caa8053f55939c3a63661d846142d568d2e1508423721fd9f26a",
+}
+
+
+def _digest(aut):
+    h = hashlib.sha256()
+    for arr in (aut.delta, aut.outputs):
+        h.update(f"{arr.dtype}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(f"{aut.initial} {aut.zero_normalized}".encode())
+    return h.hexdigest()
+
+
+def test_script_automata_and_verdicts_are_golden(reproduction):
+    run, _ = reproduction
+    report = run.script_report
+    assert report.evals == [(name, True) for name in rp.SCRIPT_EVALS]
+    assert len(report.evals) == 51
+    built = [name for kind, name, _ in report.results if kind != "eval"]
+    assert built == list(SCRIPT_AUTOMATA)
+    got = {name: _digest(run.session.automaton(name)) for name in built}
+    assert got == SCRIPT_AUTOMATA

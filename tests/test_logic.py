@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -131,12 +133,17 @@ def test_relational_subtraction(session):
 
 
 def test_underflowing_subtraction_verdicts(session):
-    # x-5 underflows at x=2: = and < are false there, != is ~(=) and true
+    # x-5 underflows at x=2: = and < are false there, != is ~(=) and true;
+    # a zero multiplier keeps the underflow of its operand
     from fibdecide.reproduce import _eval_formula
 
-    for atom, verdict in (("x-5!=3", True), ("x-5=3", False), ("x-5<3", False)):
-        assert session.eval(f"Ex x=2 & {atom}") is verdict, atom
-        assert _eval_formula(logic.parse_formula(atom), {"x": 2}) is verdict, atom
+    for x, atom, verdict in (
+        (2, "x-5!=3", True), (2, "x-5=3", False), (2, "x-5<3", False),
+        (2, "0*(x-5)=0", False), (2, "(x-5)*0=0", False),
+        (2, "0*(x-5)!=0", True), (7, "0*(x-5)=0", True),
+    ):
+        assert session.eval(f"Ex x={x} & {atom}") is verdict, atom
+        assert _eval_formula(logic.parse_formula(atom), {"x": x}) is verdict, atom
 
 
 def test_division_examples(session):
@@ -384,3 +391,280 @@ def test_oriented_zero_normalizes_an_unflagged_relation():
     assert q.variables == ("x", "y") and q.aut.zero_normalized
     assert q.aut.accepts("[0,1]") and q.aut.accepts("[0,0][0,0][0,1]")
     assert not q.aut.accepts("[1,0]")
+
+
+# -- one atom path: DFAO arity, and atoms against the three-routine compiler -
+
+
+def test_dfao_test_needs_a_unary_automaton():
+    s = logic.Session({"P": arith.eq()})
+    with pytest.raises(logic.CompileError, match=r"P takes 2 arguments.*P\[\.\.\.\]=@1"):
+        s.eval("P[1]=@1")
+    with pytest.raises(logic.CompileError, match=r"P takes 2 arguments, but \$P gives it 1"):
+        s.eval("$P(1)")
+
+
+class _Fresh:
+    def __init__(self):
+        self.counter = 0
+
+    def __call__(self) -> str:
+        name = f"_{self.counter}"
+        self.counter += 1
+        return name
+
+
+class _ReferenceAtomCompiler(logic.Compiler):
+    """The compiler with the three atom routines it had before `_atom`:
+    `_compare`, `_apply` and `_apply_automaton`, each flattening its terms
+    with a `fresh_names` list and joining them in `_conj_eliminate`."""
+
+    def compile(self, f):
+        return self._compile(f, _Fresh())
+
+    def _compile(self, f, fresh):
+        if isinstance(f, logic.Compare):
+            return self._compare(f, fresh)
+        if isinstance(f, logic.Apply):
+            return self._apply(f, fresh)
+        if isinstance(f, logic.DfaoTest):
+            q = self._dfao(f, fresh)
+            return self._negate(q) if f.negated else q
+        return super()._compile(f, fresh)
+
+    def _true(self, variables=()):
+        return logic.CompiledQuery(arith.valid_tracks(len(variables)), tuple(variables))
+
+    def _conj_eliminate(self, queries, eliminate):
+        eliminate = set(eliminate)
+        remaining = list(queries)
+        acc = remaining.pop(0)
+        while remaining:
+            shared = [
+                len(set(q.variables) & set(acc.variables)) for q in remaining
+            ]
+            best = max(range(len(remaining)), key=lambda i: shared[i])
+            q = remaining.pop(best)
+            acc = self._bool("&", acc, q)
+            later = set()
+            for r in remaining:
+                later.update(r.variables)
+            for v in [x for x in acc.variables if x in eliminate and x not in later]:
+                acc = self._exists(acc, v)
+        for v in [x for x in acc.variables if x in eliminate]:
+            acc = self._exists(acc, v)
+        return acc
+
+    def _flatten(self, t, fresh, constraints, fresh_names):
+        if isinstance(t, logic.Var):
+            return t.name
+        if isinstance(t, logic.Const):
+            name = fresh()
+            fresh_names.append(name)
+            constraints.append(logic.CompiledQuery(arith.const(t.value), (name,)))
+            return name
+        left_raw, right_raw = t.left, t.right
+        if t.op == "*":
+            if isinstance(left_raw, logic.Const) and isinstance(right_raw, logic.Const):
+                name = fresh()
+                fresh_names.append(name)
+                constraints.append(
+                    logic.CompiledQuery(arith.const(left_raw.value * right_raw.value), (name,))
+                )
+                return name
+            if isinstance(right_raw, logic.Const):
+                left_raw, right_raw = right_raw, left_raw
+            if not isinstance(left_raw, logic.Const):
+                raise logic.CompileError("multiplication needs a constant operand")
+            c = left_raw.value
+            v = self._flatten(right_raw, fresh, constraints, fresh_names)
+            name = fresh()
+            fresh_names.append(name)
+            if c == 0:
+                constraints.append(logic.CompiledQuery(arith.const(0), (name,)))
+            else:
+                rel = arith.const_mul(c)
+                constraints.append(self._oriented(rel, (v, name)))
+            return name
+        if t.op == "/":
+            if not isinstance(right_raw, logic.Const) or right_raw.value == 0:
+                raise logic.CompileError("division needs a positive constant divisor")
+            v = self._flatten(left_raw, fresh, constraints, fresh_names)
+            name = fresh()
+            fresh_names.append(name)
+            rel = arith.const_div(right_raw.value)
+            constraints.append(self._oriented(rel, (v, name)))
+            return name
+        if t.op == "+":
+            a = self._flatten(left_raw, fresh, constraints, fresh_names)
+            b = self._flatten(right_raw, fresh, constraints, fresh_names)
+            name = fresh()
+            fresh_names.append(name)
+            constraints.append(self._oriented(arith.add(), (a, b, name)))
+            return name
+        if t.op == "-":
+            a = self._flatten(left_raw, fresh, constraints, fresh_names)
+            b = self._flatten(right_raw, fresh, constraints, fresh_names)
+            name = fresh()
+            fresh_names.append(name)
+            constraints.append(self._oriented(arith.add(), (name, b, a)))
+            return name
+        raise logic.CompileError(f"unknown term operator {t.op}")
+
+    def _compare(self, f, fresh):
+        constraints = []
+        fresh_names = []
+        a = self._flatten(f.left, fresh, constraints, fresh_names)
+        b = self._flatten(f.right, fresh, constraints, fresh_names)
+        op = f.op
+        negate = False
+        if op == "!=":
+            op, negate = "=", True
+        if op == ">":
+            op, (a, b) = "<", (b, a)
+        elif op == ">=":
+            op, (a, b) = "<=", (b, a)
+        if a == b:
+            base = self._true((a,)) if op in ("=", "<=") else self._negate(self._true((a,)))
+        else:
+            rel = {"=": arith.eq, "<": arith.lt, "<=": arith.leq}[op]()
+            base = self._oriented(rel, (a, b))
+        out = self._conj_eliminate([base] + constraints, fresh_names)
+        if negate:
+            out = self._negate(out)
+        return out
+
+    def _apply(self, f, fresh):
+        try:
+            aut = self._lookup(f.name)
+        except KeyError:
+            raise logic.CompileError(f"unknown automaton ${f.name}") from None
+        if aut.arity != len(f.args):
+            raise logic.CompileError(
+                f"${f.name} takes {aut.arity} arguments, got {len(f.args)}"
+            )
+        if not aut.is_boolean:
+            raise logic.CompileError(f"${f.name} is a DFAO; use {f.name}[...]=@v")
+        aut = self._value_dfa(f.name, 1)
+        arg_names = []
+        constraints = []
+        fresh_names = []
+        for t in f.args:
+            if isinstance(t, logic.Var) and t.name not in arg_names:
+                arg_names.append(t.name)
+            else:
+                v = self._flatten(t, fresh, constraints, fresh_names)
+                if v in arg_names:
+                    name = fresh()
+                    fresh_names.append(name)
+                    constraints.append(self._oriented(arith.eq(), (name, v)))
+                    v = name
+                arg_names.append(v)
+        base = self._oriented(aut, tuple(arg_names))
+        return self._conj_eliminate([base] + constraints, fresh_names)
+
+    def _dfao(self, f, fresh):
+        aut = self._value_dfa(f.name, f.value)
+        return self._apply_automaton(aut, (f.arg,), fresh)
+
+    def _apply_automaton(self, aut, args, fresh):
+        constraints = []
+        fresh_names = []
+        names = []
+        for t in args:
+            if isinstance(t, logic.Var) and t.name not in names:
+                names.append(t.name)
+            else:
+                v = self._flatten(t, fresh, constraints, fresh_names)
+                names.append(v)
+        base = self._oriented(aut, tuple(names))
+        return self._conj_eliminate([base] + constraints, fresh_names)
+
+
+class _FormulaGen:
+    """Seeded random formulas over every atom kind, recording what they used."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.used = set()
+
+    def term(self, vars_, depth):
+        r = self.rng
+        compound = ["+", "-", "c*t", "t/c", "c*c", "0*(t-u)"]
+        kind = r.choice(["var", "var", "const"] + compound * (depth > 0))
+        self.used.add(kind)
+        if kind == "var":
+            return r.choice(vars_)
+        if kind == "const":
+            return str(r.randrange(0, 10))
+        if kind == "c*c":
+            return f"{r.randrange(0, 4)}*{r.randrange(0, 4)}"
+        sub = self.term(vars_, depth - 1)
+        if kind == "0*(t-u)":  # false where t < u, unless under !=
+            return f"0*(({sub})-({self.term(vars_, depth - 1)}))"
+        if kind == "c*t":
+            c = r.randrange(0, 4)
+            self.used.add(kind if c else "0*t")
+            return f"{c}*({sub})" if r.random() < 0.5 else f"({sub})*{c}"
+        if kind == "t/c":
+            return f"({sub})/{r.randrange(1, 4)}"
+        return f"({sub}){kind}({self.term(vars_, depth - 1)})"
+
+    def atom(self, vars_):
+        r = self.rng
+        kind = r.choice(["cmp", "cmp", "cmp", "$phin", "$lt", "F"])
+        if kind == "cmp":
+            op = r.choice(["=", "!=", "<", "<=", ">", ">="])
+            left, right = self.term(vars_, 1), self.term(vars_, 1)
+            self.used.add(op)
+            if left == right:
+                self.used.add("repeat")
+            return f"{left}{op}{right}"
+        if kind == "F":
+            neg = r.random() < 0.5
+            self.used.add("F!=" if neg else "F=")
+            return f"F[{self.term(vars_, 1)}]{'!=' if neg else '='}@{r.randrange(0, 2)}"
+        left, right = self.term(vars_, 1), self.term(vars_, 1)
+        self.used.add(kind)
+        if left == right:
+            self.used.add("repeat")
+        return f"{kind}({left},{right})"
+
+    def formula(self, vars_, depth):
+        r = self.rng
+        pick = r.random() if depth else 0.0
+        if pick < 0.35:
+            return self.atom(vars_)
+        if pick < 0.5:
+            self.used.add("~")
+            return f"~({self.formula(vars_, depth - 1)})"
+        if pick < 0.7:
+            names = r.sample(vars_, r.choice([1, 1, 2]))
+            kind = r.choice("AE")
+            self.used.add(f"{kind}{len(names)}")
+            return f"{kind}{','.join(names)} ({self.formula(vars_, depth - 1)})"
+        op = r.choice(["&", "|", "=>", "<=>"])
+        self.used.add(op)
+        return f"({self.formula(vars_, depth - 1)}){op}({self.formula(vars_, depth - 1)})"
+
+
+def test_atoms_match_reference_compiler(catalog):
+    lookup = logic.Session(catalog)._lookup
+    new, ref = logic.Compiler(lookup), _ReferenceAtomCompiler(lookup)
+    gen = _FormulaGen(20241018)
+    fixed = ["x<x", "x=x", "x>=x", "$lt(x,x)", "$phin(y,y)", "Ex F[x+x]!=@1"]
+    texts = fixed + [gen.formula(["x", "y"], 2) for _ in range(120)]
+    for text in texts:
+        f = logic.parse_formula(text)
+        got, want = new.compile(f), ref.compile(f)
+        assert got.variables == want.variables, text
+        for field in ("delta", "outputs"):
+            g, w = getattr(got.aut, field), getattr(want.aut, field)
+            assert g.dtype == w.dtype and np.array_equal(g, w), text
+        assert got.aut.initial == want.aut.initial, text
+        assert got.aut.zero_normalized == want.aut.zero_normalized, text
+    assert gen.used >= {
+        "=", "!=", "<", "<=", ">", ">=", "+", "-", "c*t", "0*t", "0*(t-u)", "t/c", "c*c",
+        "repeat", "$phin", "$lt", "F=", "F!=", "&", "|", "=>", "<=>", "~",
+        "A1", "A2", "E1", "E2",
+    }

@@ -63,6 +63,11 @@ def test_certify_function_examples(catalog):
     assert "fn_unique" in bad.failures or "function_unique" in bad.failures
 
 
+def test_function_certificate_check_names(catalog):
+    verdict = synth.function_certificate("fn")(arith.eq(), catalog)
+    assert verdict.checks == [("fn_total", True), ("fn_unique", True)]
+
+
 def test_certify_recurrence_main(catalog):
     rel = synth.guess_synchronized(seqs.oracle("a105774"), 16384)
     verdict = synth.certify_recurrence(rel, catalog, kind="fib")
