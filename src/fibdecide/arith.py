@@ -1,10 +1,10 @@
 """Built-in relations over Fibonacci representations.
 
-Provides the base relations of the logical structure (validity, equality,
-order, addition, constant multiplication and division) as raw automaton
-constructions, plus the certified catalog of named automata every session
-starts from: the Beatty function automata, the Fibonacci-word DFAO and
-mod-k DFAOs.
+Provides validity and one builder for every linear relation of the logical
+structure, :func:`linear` (equality, order and addition are calls to it;
+the compiler reaches constant multiples and quotients through it), plus
+the certified catalog of named automata every session starts from: the
+Beatty function automata, the Fibonacci-word DFAO and mod-k DFAOs.
 
 All catalog automata are zero-normalized, minimized, and accept only
 strings whose tracks are valid (no adjacent 1s); relations therefore talk
@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import automata as au
-from . import numeration as nu
 from .automata import Automaton
 
 __all__ = [
@@ -28,10 +27,7 @@ __all__ = [
     "lt",
     "leq",
     "add",
-    "const",
-    "leq_const",
-    "const_mul",
-    "const_div",
+    "linear",
     "fibword",
     "mod_dfao",
     "BuiltinCatalog",
@@ -69,42 +65,78 @@ def valid() -> Automaton:
     return valid_tracks(1)
 
 
-def _finish(a: Automaton) -> Automaton:
-    return au.zero_normalize(au.minimize(a))
+_HOLDS = {"=": lambda v: v == 0, "<": lambda v: v < 0, "<=": lambda v: v <= 0}
+_PHI = (1 + 5**0.5) / 2
 
 
 @lru_cache(maxsize=None)
-def eq() -> Automaton:
-    """Pairs (x, x) of valid equal-length-padded representations."""
-    # states: 0 equal-so-far, 1 dead
-    delta = np.array([[0, 1, 1, 0], [1, 1, 1, 1]], dtype=np.int32)
-    outputs = np.array([1, 0], dtype=np.int32)
-    base = Automaton(2, delta, outputs, 0)
-    return _finish(au.intersect(base, valid_tracks(2)))
+def linear(coeffs: tuple, k: int = 0, op: str = "=") -> Automaton:
+    """Tuples (x_0, ..., x_{n-1}) with sum(c_i * x_i) + k OP 0, every track valid.
 
+    Msd-first balance recognizer (the normalization of linear numeration
+    systems, Frougny 1992).  A state is an integer pair (p, q): after reading
+    a prefix, the outstanding value sum(c_i * x_i) equals
+    p*F(m+2) + q*F(m+1) where m symbols remain.  Reading a digit vector of
+    weight d = sum(c_i * digit_i) maps (p, q) to (p + q + d, p); the final
+    value is p*F(2) + q*F(1) = p + q, so a state accepts when OP holds for
+    p + q + k.
 
-@lru_cache(maxsize=None)
-def lt() -> Automaton:
-    """Pairs (x, y) with x < y.
-
-    Equal-length zero-padded valid strings compare numerically exactly as
-    they compare lexicographically, so one pass tracking {equal, less,
-    greater} suffices.  Cross-checked against the additive definition in
-    the test suite.
+    The bound.  Write alpha = p*phi + q and beta = p*psi + q (psi = -1/phi)
+    and let D be the largest |d|.  One step maps alpha to phi*(alpha + d)
+    and beta to psi*(beta + d); from beta = 0, |beta| <= D*phi stays true.
+    Once |alpha| >= phi**2 * D, |alpha| never shrinks and its sign never
+    changes.  The final value is p + q = (phi*alpha - psi*beta) / sqrt(5),
+    with |psi*beta| <= D, so once also |alpha| > (D + |k|*sqrt(5)) / phi,
+    p + q + k has the sign of alpha.  Past B = max(phi**2 * D,
+    (D + |k|*sqrt(5)) / phi), a state therefore keeps the sign of p + q + k
+    for every suffix and becomes one of two sinks (both reject for =, and
+    only the negative one accepts for < and <=).  The live states satisfy
+    |alpha| <= B and |beta| <= D*phi, a finite set, and the automaton is
+    exact by construction.  alpha is computed in floats, so a state sinks
+    only past B plus a margin far above the rounding error; a state kept
+    live past B is still exact, and minimization removes it.
     """
-    EQ, LESS, GREATER = 0, 1, 2
-    delta = np.empty((3, 4), dtype=np.int32)
-    delta[EQ] = [EQ, LESS, GREATER, EQ]  # symbols [0,0],[0,1],[1,0],[1,1]
-    delta[LESS] = [LESS] * 4
-    delta[GREATER] = [GREATER] * 4
-    outputs = np.array([0, 1, 0], dtype=np.int32)
-    base = Automaton(2, delta, outputs, 0)
-    return _finish(au.intersect(base, valid_tracks(2)))
+    holds = _HOLDS[op]
+    n = len(coeffs)
+    if n > au.MAX_ARITY:  # before 2**n weights and states are built
+        raise au.ArityError(f"arity {n} out of range 0..{au.MAX_ARITY}")
+    weights = [
+        sum(c for i, c in enumerate(coeffs) if s >> (n - 1 - i) & 1) for s in range(1 << n)
+    ]
+    D = max(map(abs, weights))
+    bound = max(_PHI**2 * D, (D + abs(k) * 5**0.5) / _PHI) + 1e-9 * (1 + D + abs(k))
+    # states 0 and 1 are the positive and negative sinks; state 2 is (0, 0)
+    order = [(0, 0)]
+    index = {(0, 0): 2}
+    rows = [[0] * len(weights), [1] * len(weights)]
+    for p, q in order:  # grows while it is read
+        row = []
+        for d in weights:
+            key = (p + q + d, p)
+            alpha = key[0] * _PHI + key[1]
+            if abs(alpha) > bound:
+                row.append(0 if alpha > 0 else 1)
+                continue
+            if key not in index:
+                index[key] = len(order) + 2
+                order.append(key)
+            row.append(index[key])
+        rows.append(row)
+    outputs = [holds(1), holds(-1)] + [holds(p + q + k) for p, q in order]
+    base = Automaton(n, np.array(rows, dtype=np.int32), np.array(outputs, dtype=np.int32), 2)
+    return au.zero_normalize(au.minimize(au.intersect(base, valid_tracks(n))))
 
 
-@lru_cache(maxsize=None)
+def eq() -> Automaton:
+    return linear((1, -1), 0, "=")
+
+
+def lt() -> Automaton:
+    return linear((1, -1), 0, "<")
+
+
 def leq() -> Automaton:
-    return _finish(au.union(lt(), eq()))
+    return linear((1, -1), 0, "<=")
 
 
 # Induction on y; succ is defined from < alone, so no query has a + term.
@@ -122,15 +154,10 @@ _ADD_CERT = [
 def add() -> Automaton:
     """Triples (x, y, z) with x + y = z, every track valid.
 
-    Msd-first balance recognizer.  A state is an integer pair (p, q): after
-    reading a prefix, the outstanding imbalance value(x) + value(y) -
-    value(z) equals p*F(m+2) + q*F(m+1) where m symbols remain.  Reading a
-    digit triple with d = a + b - c maps (p, q) to (p + q + d, p); the final
-    imbalance is p*F(2) + q*F(1) = p + q, so acceptance is p + q = 0.
-    Pairs with |p| or |q| above 4 are pruned as unable to cancel any more;
-    :func:`_certify_add` proves the pruned automaton is exactly addition.
+    The :func:`linear` recognizer of x + y - z = 0, accepted only once
+    :func:`_certify_add` proves it is addition.
     """
-    cand = _add_with_bound(4)
+    cand = linear((1, 1, -1))
     _certify_add(cand)
     return cand
 
@@ -141,93 +168,6 @@ def _certify_add(cand: Automaton) -> None:
     failed = synth.query_certificate("", _ADD_CERT, defs=[_ADD_SUCC])(cand, {}).failures
     if failed:
         raise CatalogError(f"add certificate fails {failed[0]}: {dict(_ADD_CERT)[failed[0]]}")
-
-
-def _add_with_bound(bound: int) -> Automaton:
-    index = {(0, 0): 0}
-    order = [(0, 0)]
-    rows = []
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        row = []
-        for s in range(8):
-            a_, b_, c_ = (s >> 2) & 1, (s >> 1) & 1, s & 1
-            d = a_ + b_ - c_
-            np_, nq_ = p + q + d, p
-            if abs(np_) > bound or abs(nq_) > bound:
-                row.append(-1)
-            else:
-                key = (np_, nq_)
-                if key not in index:
-                    index[key] = len(order)
-                    order.append(key)
-                row.append(index[key])
-        rows.append(row)
-        i += 1
-    dead = len(order)
-    delta = np.array(rows + [[dead] * 8], dtype=np.int32)
-    delta[delta < 0] = dead
-    outputs = np.array([1 if p + q == 0 else 0 for (p, q) in order] + [0], dtype=np.int32)
-    base = Automaton(3, delta, outputs, 0)
-    return _finish(au.intersect(base, valid_tracks(3)))
-
-
-@lru_cache(maxsize=None)
-def const(c: int) -> Automaton:
-    """Arity-1 automaton accepting exactly 0* encode(c)."""
-    digits = nu.encode(c)
-    t = len(digits)
-    # state i = matched first i digits; state 0 loops on 0; t+1 = dead
-    dead = t + 1
-    delta = np.full((t + 2, 2), dead, dtype=np.int32)
-    delta[0, 0] = 0
-    for i, d in enumerate(digits):
-        delta[i, int(d)] = i + 1
-    if t > 0:
-        delta[t, 0] = dead
-    outputs = np.zeros(t + 2, dtype=np.int32)
-    outputs[t] = 1
-    aut = Automaton(1, delta, outputs, 0, zero_normalized=True)
-    return au.minimize(aut)
-
-
-@lru_cache(maxsize=None)
-def leq_const(c: int) -> Automaton:
-    """Arity-1 automaton for the finite set {0, ..., c}."""
-    aut = const(0)
-    for i in range(1, c + 1):
-        aut = au.union(aut, const(i))
-    return _finish(aut)
-
-
-@lru_cache(maxsize=None)
-def const_mul(c: int) -> Automaton:
-    """Pairs (n, z) with z = c * n, built from iterated addition."""
-    if c < 1:
-        raise ValueError("const_mul needs c >= 1")
-    rel = eq()
-    for _ in range(c - 1):
-        # tracks (n, u, z): rel(n, u) and add(u, n, z); project u
-        left = au.cylindrify(rel, [0, 1], 3)
-        plus = au.cylindrify(add(), [1, 0, 2], 3)
-        rel = au.project(au.minimize(au.intersect(left, plus)), 1)
-    return rel
-
-
-@lru_cache(maxsize=None)
-def const_div(c: int) -> Automaton:
-    """Pairs (n, z) with z = floor(n / c): c*z <= n < c*(z + 1)."""
-    if c < 1:
-        raise ValueError("const_div needs c >= 1")
-    # tracks (n, r, u, z): u = c*z, u + r = n, r <= c - 1
-    mul = au.cylindrify(const_mul(c), [3, 2], 4)
-    plus = au.cylindrify(add(), [2, 1, 0], 4)
-    rem = au.cylindrify(leq_const(c - 1), [1], 4)
-    rel = au.minimize(au.intersect(au.minimize(au.intersect(mul, plus)), rem))
-    rel = au.project(rel, 2)  # drop u -> (n, r, z)
-    rel = au.project(rel, 1)  # drop r -> (n, z)
-    return rel
 
 
 # -- batch verification helpers --------------------------------------------

@@ -12,13 +12,15 @@ easy to forget and silently transposes pair automata, so it is worth
 stating twice: `def f "... n ... z ..."` puts n on track 0 and z on
 track 1 regardless of where the variables appear in the formula.
 
-Compilation is structural: atoms instantiate catalog automata cylindrified
-onto the sorted free-variable list; compound terms introduce fresh
-existentially quantified intermediates constrained through the addition
-relation; `A` desugars to `~E~`; every automaton in the pipeline stays
-zero-normalized, minimized, and restricted to valid tracks, which is what
-makes complementation mean logical negation over numbers (which connectives
-must re-restrict, and why, is noted at `Compiler._bool`).
+Compilation is structural: a comparison folds both sides into one linear
+form and compiles to one `arith.linear` automaton, joined with the side
+constraints that keep `-` and `/` relational; other atoms instantiate
+catalog automata cylindrified onto the sorted free-variable list, a
+compound argument through a helper variable; `A` desugars to `~E~`; every
+automaton in the pipeline stays zero-normalized, minimized, and restricted
+to valid tracks, which is what makes complementation mean logical negation
+over numbers (which connectives must re-restrict, and why, is noted at
+`Compiler._bool`).
 """
 
 from __future__ import annotations
@@ -563,11 +565,14 @@ class Compiler:
         if isinstance(f, Compare):
             # > and >= swap the sides; != is the negation of =
             op = "=" if f.op == "!=" else f.op
-            terms = (f.left, f.right)
+            left, right = f.left, f.right
             if op in (">", ">="):
-                op, terms = op.replace(">", "<"), terms[::-1]
-            rel = {"=": arith.eq, "<": arith.lt, "<=": arith.leq}[op]()
-            q = self._atom(rel, terms, fresh)
+                op, left, right = op.replace(">", "<"), right, left
+            constraints: list[CompiledQuery] = []
+            a, j = self._linear(left, fresh, constraints)
+            b, k = self._linear(right, fresh, constraints)
+            base = self._relation(_combine(a, b, -1), j - k, op)
+            q = self._join(base, constraints, _term_vars(left) | _term_vars(right))
             return self._negate(q) if f.op == "!=" else q
         if isinstance(f, (Apply, DfaoTest)):
             return self._applied(f, fresh)
@@ -646,18 +651,29 @@ class Compiler:
         return self._negate(q) if isinstance(f, DfaoTest) and f.negated else q
 
     def _atom(self, rel: Automaton, terms, fresh) -> CompiledQuery:
-        """Apply a relation to a tuple of terms.
-
-        Each compound term becomes a helper variable under relation
-        constraints.  Joining pieces that share variables first and dropping
-        a helper the moment its last constraint is merged keeps the
-        intermediate arity low; carrying every helper to the end is the main
-        compile-time cost otherwise.
-        """
+        """Apply a relation to a tuple of terms; each compound term, and each
+        repeat of a variable, becomes a helper v under the constraint v - t = 0."""
         constraints: list[CompiledQuery] = []
-        names = tuple(self._flatten(t, fresh, constraints) for t in terms)
+        names = []
+        for t in terms:
+            if isinstance(t, Var) and t.name not in names:
+                names.append(t.name)
+                continue
+            form, k = self._linear(t, fresh, constraints)
+            v = f"_{next(fresh)}"
+            constraints.append(self._relation(_combine({v: 1}, form, -1), -k, "="))
+            names.append(v)
         keep = set().union(*map(_term_vars, terms))
-        acc = self._oriented(rel, names)
+        return self._join(self._oriented(rel, tuple(names)), constraints, keep)
+
+    def _join(self, acc: CompiledQuery, constraints: list, keep: set) -> CompiledQuery:
+        """Conjoin constraints into acc, dropping each helper (a variable not
+        in keep) the moment its last constraint is merged.
+
+        Joining pieces that share variables first and dropping helpers early
+        keeps the intermediate arity low; carrying every helper to the end is
+        the main compile-time cost otherwise.
+        """
         while constraints:
             shared = [len(set(q.variables) & set(acc.variables)) for q in constraints]
             acc = self._bool("&", acc, constraints.pop(shared.index(max(shared))))
@@ -666,83 +682,55 @@ class Compiler:
                 acc = self._exists(acc, v)
         return acc
 
-    def _flatten(self, t: Term, fresh, constraints) -> str:
-        """Reduce a term to a variable, accumulating relation constraints."""
+    def _linear(self, t: Term, fresh, constraints) -> tuple[dict, int]:
+        """Fold a term into ({variable: coefficient}, constant), adding the
+        side constraints that keep - and / relational.
+
+        A variable keeps its track even at coefficient 0, as in 0*x or x-x.
+        """
         if isinstance(t, Var):
-            return t.name
+            return {t.name: 1}, 0
         if isinstance(t, Const):
-            name = f"_{next(fresh)}"
-            constraints.append(CompiledQuery(arith.const(t.value), (name,)))
-            return name
-        left_raw, right_raw = t.left, t.right
+            return {}, t.value
+        if t.op in ("+", "-"):
+            a, j = self._linear(t.left, fresh, constraints)
+            b, k = self._linear(t.right, fresh, constraints)
+            if t.op == "+":
+                return _combine(a, b, 1), j + k
+            # natural subtraction: t - u exists only where u <= t
+            constraints.append(self._relation(_combine(b, a, -1), k - j, "<="))
+            return _combine(a, b, -1), j - k
         if t.op == "*":
-            if isinstance(left_raw, Const) and isinstance(right_raw, Const):
-                name = f"_{next(fresh)}"
-                constraints.append(
-                    CompiledQuery(arith.const(left_raw.value * right_raw.value), (name,))
-                )
-                return name
-            if isinstance(right_raw, Const):
-                left_raw, right_raw = right_raw, left_raw
-            if not isinstance(left_raw, Const):
+            c, u = (t.left, t.right) if isinstance(t.left, Const) else (t.right, t.left)
+            if not isinstance(c, Const):
                 raise CompileError("multiplication needs a constant operand")
-            c = left_raw.value
-            v = self._flatten(right_raw, fresh, constraints)
-            name = f"_{next(fresh)}"
-            if c == 0:
-                constraints.append(CompiledQuery(arith.const(0), (name,)))
-            else:
-                rel = arith.const_mul(c)  # tracks (n, c*n)
-                constraints.append(self._oriented(rel, (v, name)))
-            return name
+            form, k = self._linear(u, fresh, constraints)
+            return {v: c.value * a for v, a in form.items()}, c.value * k
         if t.op == "/":
-            if not isinstance(right_raw, Const) or right_raw.value == 0:
+            if not isinstance(t.right, Const) or t.right.value == 0:
                 raise CompileError("division needs a positive constant divisor")
-            v = self._flatten(left_raw, fresh, constraints)
-            name = f"_{next(fresh)}"
-            rel = arith.const_div(right_raw.value)  # tracks (n, n//c)
-            constraints.append(self._oriented(rel, (v, name)))
-            return name
-        if t.op == "+":
-            a = self._flatten(left_raw, fresh, constraints)
-            b = self._flatten(right_raw, fresh, constraints)
-            name = f"_{next(fresh)}"
-            constraints.append(self._oriented(arith.add(), (a, b, name)))
-            return name
-        if t.op == "-":
-            # relational natural subtraction: u + right = left
-            a = self._flatten(left_raw, fresh, constraints)
-            b = self._flatten(right_raw, fresh, constraints)
-            name = f"_{next(fresh)}"
-            constraints.append(self._oriented(arith.add(), (name, b, a)))
-            return name
+            c = t.right.value
+            form, k = self._linear(t.left, fresh, constraints)
+            z = f"_{next(fresh)}"
+            # z = t/c exactly when c*z <= t <= c*z + c - 1
+            constraints.append(self._relation(_combine({z: c}, form, -1), -k, "<="))
+            constraints.append(self._relation(_combine(form, {z: c}, -1), k - c + 1, "<="))
+            return {z: 1}, 0
         raise CompileError(f"unknown term operator {t.op}")
 
+    def _relation(self, form: dict, k: int, op: str) -> CompiledQuery:
+        """The linear atom sum(form[v] * v) + k OP 0 over the sorted variables."""
+        names = tuple(sorted(form))
+        return CompiledQuery(arith.linear(tuple(form[v] for v in names), k, op), names)
+
     def _oriented(self, rel: Automaton, names: tuple) -> CompiledQuery:
-        """Attach a relation's tracks to named variables (handling repeats)."""
-        if len(set(names)) == len(names):
-            order = tuple(sorted(names))
-            positions = [order.index(v) for v in names]
-            aut = au.minimize(au.cylindrify(rel, positions, len(order)))
-            if not aut.zero_normalized:
-                aut = au.zero_normalize(aut)
-            return CompiledQuery(aut, order)
-        # duplicated variable: diagonalize through equality
-        uniq = []
-        pairs = []
-        for v in names:
-            if v in uniq:
-                alias = f"_dup{len(pairs)}_{v}"
-                pairs.append((alias, v))
-                uniq.append(alias)
-            else:
-                uniq.append(v)
-        base = self._oriented(rel, tuple(uniq))
-        for alias, v in pairs:
-            eq = self._oriented(arith.eq(), (alias, v))
-            base = self._bool("&", base, eq)
-            base = self._exists(base, alias)
-        return base
+        """Attach a relation's tracks to distinct named variables."""
+        order = tuple(sorted(names))
+        positions = [order.index(v) for v in names]
+        aut = au.minimize(au.cylindrify(rel, positions, len(order)))
+        if not aut.zero_normalized:
+            aut = au.zero_normalize(aut)
+        return CompiledQuery(aut, order)
 
     def _value_dfa(self, name: str, value: int) -> Automaton:
         """Where `name` outputs `value`: valid tracks only, zero-normalized and
@@ -755,6 +743,11 @@ class Compiler:
             valid = au.minimize(au.intersect(picked, arith.valid_tracks(aut.arity)))
             hit = self._value_dfa_cache[(name, value)] = (aut, au.zero_normalize(valid))
         return hit[1]
+
+
+def _combine(a: dict, b: dict, sign: int) -> dict:
+    """The linear form a + sign*b, keeping every variable of both."""
+    return {v: a.get(v, 0) + sign * b.get(v, 0) for v in a.keys() | b.keys()}
 
 
 # -- sessions --------------------------------------------------------------------

@@ -9,6 +9,8 @@ from fibdecide import automata as au
 from fibdecide import logic
 from fibdecide import numeration as nu
 
+import reference_chain
+
 
 def test_valid_examples():
     v = arith.valid()
@@ -158,17 +160,84 @@ def test_add_commutes():
 
 
 def test_const_mul_div_examples():
-    assert arith.const_mul(1).accepts_numbers(9, 9)
-    assert arith.const_mul(2).accepts_numbers(6, 12)
-    assert not arith.const_mul(2).accepts_numbers(6, 11)
-    d2 = arith.const_div(2)
+    assert arith.linear((1, -1)).accepts_numbers(9, 9)
+    assert arith.linear((2, -1)).accepts_numbers(6, 12)
+    assert not arith.linear((2, -1)).accepts_numbers(6, 11)
+    d2 = logic.Session({}).compile("z=n/2").aut
     assert d2.accepts_numbers(7, 3)
     for n in range(200):
         assert d2.accepts_numbers(n, n // 2)
-    with pytest.raises(ValueError):
-        arith.const_mul(0)
-    with pytest.raises(ValueError):
-        arith.const_div(0)
+    with pytest.raises(logic.CompileError, match="positive constant divisor"):
+        logic.Session({}).compile("z=n/0")
+    zero = logic.Session({}).compile("z=0*n")
+    assert zero.variables == ("n", "z")
+    assert zero.aut.accepts_numbers(7, 0) and not zero.aut.accepts_numbers(7, 1)
+
+
+# -- linear: the one relation builder ------------------------------------------
+
+# eq, lt and leq as the hand-built tables made them
+RELATION_DIGESTS = {
+    "eq": "0e26b8aa7cc552cb8185223a0bbc35f61cf2148e11e06fa5be199b6fbdf3de43",
+    "lt": "35f2da8e8f0730abb8cdd9bfdf4868cf6fe2dd7ae8bf3fbaaeeef0f775e049a9",
+    "leq": "4fda16f451e737c5100b4b26fd0f712e08d153385875f7efcbfd8092d3769877",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_DIGESTS))
+def test_order_relations_are_byte_identical_to_the_tables(name):
+    assert _digest(getattr(arith, name)()) == RELATION_DIGESTS[name]
+
+
+def _same_bytes(a, b):
+    return (
+        np.array_equal(a.delta, b.delta)
+        and np.array_equal(a.outputs, b.outputs)
+        and (a.initial, a.zero_normalized) == (b.initial, b.zero_normalized)
+    )
+
+
+def test_linear_is_byte_identical_to_the_relation_chain():
+    for c in range(13):
+        assert _same_bytes(arith.linear((1,), -c), reference_chain.const(c)), c
+    for c in range(1, 8):
+        assert _same_bytes(arith.linear((c, -1)), reference_chain.const_mul(c)), c
+        # c*z <= n and n <= c*z + c - 1 over (n, z)
+        both = au.intersect(arith.linear((-1, c), 0, "<="), arith.linear((1, -c), 1 - c, "<="))
+        div = au.zero_normalize(au.minimize(both))
+        assert _same_bytes(div, reference_chain.const_div(c)), c
+        assert _same_bytes(logic.Session({}).compile(f"z=n/{c}").aut, div), c
+
+
+def test_linear_agrees_with_brute_force():
+    """Seeded forms sum(c_i x_i) + k OP 0 against every tuple below 40."""
+    rng = np.random.default_rng(9)
+    ops = {"=": np.equal, "<": np.less, "<=": np.less_equal}
+    for trial in range(72):
+        n = trial % 4
+        coeffs = tuple(int(c) for c in rng.integers(-6, 7, size=n))
+        k = int(rng.integers(-60, 61))
+        op = ("=", "<", "<=")[trial % 3]
+        if op == "=" and n:  # aim k at reachable values so = accepts somewhere
+            k = -int(np.dot(coeffs, rng.integers(0, 40, size=n)))
+        aut = arith.linear(coeffs, k, op)
+        cols = np.meshgrid(*[np.arange(40)] * n, indexing="ij")
+        cols = [c.ravel() for c in cols]
+        total = sum((c * x for c, x in zip(coeffs, cols)), np.zeros(40**n, dtype=np.int64)) + k
+        want = ops[op](total, 0)
+        got = arith.accepts_number_pairs(aut, *cols) if n else np.array([aut.accepts("")])
+        assert np.array_equal(got, want), (coeffs, k, op)
+
+
+def test_linear_fifty_times():
+    """c*n is built directly, not by 49 projected additions."""
+    assert arith.linear((50, -1), 0, "=").n_states == 5129
+    assert logic.Session({}).eval("Ex,y x=50*y+7 & y=1000")
+
+
+def test_linear_rejects_too_many_tracks_before_building():
+    with pytest.raises(au.ArityError, match="arity 13"):
+        arith.linear((1,) * 13)
 
 
 def test_catalog_contents(catalog):

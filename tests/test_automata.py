@@ -3,7 +3,10 @@ import pytest
 
 from fibdecide import arith
 from fibdecide import automata as au
+from fibdecide import logic
 from fibdecide import numeration as nu
+
+import reference_chain
 
 
 def small_dfa(pattern):
@@ -65,11 +68,9 @@ def test_minimize_merges():
 
 
 def test_equivalent_pipelines_give_identical_canonical_forms(catalog):
-    from fibdecide import logic
-
     s = logic.Session(catalog)
     via_engine = s.define("half", "z=n/2")
-    direct = arith.const_div(2)
+    direct = reference_chain.const_div(2)
     assert au.equivalent(via_engine, direct)
     ca, cb = au.minimize(via_engine), au.minimize(direct)
     assert np.array_equal(ca.delta, cb.delta)
@@ -79,7 +80,9 @@ def test_equivalent_pipelines_give_identical_canonical_forms(catalog):
 def test_project_examples():
     assert au.equivalent(au.project(arith.eq(), 0), arith.valid())
     # totality of n -> floor(n/2): projecting the value track leaves all n
-    assert au.equivalent(au.project(arith.const_div(2), 1), arith.valid())
+    half = logic.Session({}).compile("z=n/2")
+    assert half.variables == ("n", "z")
+    assert au.equivalent(au.project(half.aut, 1), arith.valid())
 
 
 def test_project_requires_normalization():
@@ -156,8 +159,8 @@ def test_accepts_and_values(catalog):
 def test_is_empty_equivalent_sample():
     empty = au.intersect(arith.valid(), au.complement(arith.valid()))
     assert au.is_empty(empty)
-    two_halves_a = arith.const_div(2)
-    two_halves_b = au.minimize(arith.const_div(2))
+    two_halves_a = logic.Session({}).compile("z=n/2").aut
+    two_halves_b = au.minimize(two_halves_a)
     assert au.equivalent(two_halves_a, two_halves_b)
 
 

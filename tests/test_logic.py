@@ -2,11 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibdecide import arith
 from fibdecide import automata as au
 from fibdecide import logic
 from fibdecide import numeration as nu
+
+import reference_chain
 
 
 @pytest.fixture()
@@ -417,7 +421,9 @@ class _Fresh:
 class _ReferenceAtomCompiler(logic.Compiler):
     """The compiler with the three atom routines it had before `_atom`:
     `_compare`, `_apply` and `_apply_automaton`, each flattening its terms
-    with a `fresh_names` list and joining them in `_conj_eliminate`."""
+    with a `fresh_names` list and joining them in `_conj_eliminate`, over
+    the relation chain that `arith.linear` replaced.  `0*t` keeps the
+    variables of t (reference_chain.const_mul(0))."""
 
     def compile(self, f):
         return self._compile(f, _Fresh())
@@ -434,6 +440,26 @@ class _ReferenceAtomCompiler(logic.Compiler):
 
     def _true(self, variables=()):
         return logic.CompiledQuery(arith.valid_tracks(len(variables)), tuple(variables))
+
+    def _oriented(self, rel, names):
+        """A repeated variable, as in x+x, diagonalized through equality."""
+        if len(set(names)) == len(names):
+            return super()._oriented(rel, names)
+        uniq = []
+        pairs = []
+        for v in names:
+            if v in uniq:
+                alias = f"_dup{len(pairs)}_{v}"
+                pairs.append((alias, v))
+                uniq.append(alias)
+            else:
+                uniq.append(v)
+        base = self._oriented(rel, tuple(uniq))
+        for alias, v in pairs:
+            eq = self._oriented(arith.eq(), (alias, v))
+            base = self._bool("&", base, eq)
+            base = self._exists(base, alias)
+        return base
 
     def _conj_eliminate(self, queries, eliminate):
         eliminate = set(eliminate)
@@ -461,16 +487,15 @@ class _ReferenceAtomCompiler(logic.Compiler):
         if isinstance(t, logic.Const):
             name = fresh()
             fresh_names.append(name)
-            constraints.append(logic.CompiledQuery(arith.const(t.value), (name,)))
+            constraints.append(logic.CompiledQuery(reference_chain.const(t.value), (name,)))
             return name
         left_raw, right_raw = t.left, t.right
         if t.op == "*":
             if isinstance(left_raw, logic.Const) and isinstance(right_raw, logic.Const):
                 name = fresh()
                 fresh_names.append(name)
-                constraints.append(
-                    logic.CompiledQuery(arith.const(left_raw.value * right_raw.value), (name,))
-                )
+                product = reference_chain.const(left_raw.value * right_raw.value)
+                constraints.append(logic.CompiledQuery(product, (name,)))
                 return name
             if isinstance(right_raw, logic.Const):
                 left_raw, right_raw = right_raw, left_raw
@@ -480,11 +505,7 @@ class _ReferenceAtomCompiler(logic.Compiler):
             v = self._flatten(right_raw, fresh, constraints, fresh_names)
             name = fresh()
             fresh_names.append(name)
-            if c == 0:
-                constraints.append(logic.CompiledQuery(arith.const(0), (name,)))
-            else:
-                rel = arith.const_mul(c)
-                constraints.append(self._oriented(rel, (v, name)))
+            constraints.append(self._oriented(reference_chain.const_mul(c), (v, name)))
             return name
         if t.op == "/":
             if not isinstance(right_raw, logic.Const) or right_raw.value == 0:
@@ -492,7 +513,7 @@ class _ReferenceAtomCompiler(logic.Compiler):
             v = self._flatten(left_raw, fresh, constraints, fresh_names)
             name = fresh()
             fresh_names.append(name)
-            rel = arith.const_div(right_raw.value)
+            rel = reference_chain.const_div(right_raw.value)
             constraints.append(self._oriented(rel, (v, name)))
             return name
         if t.op == "+":
@@ -668,3 +689,82 @@ def test_atoms_match_reference_compiler(catalog):
         "repeat", "$phin", "$lt", "F=", "F!=", "&", "|", "=>", "<=>", "~",
         "A1", "A2", "E1", "E2",
     }
+
+
+# -- linear comparisons: one arith.linear atom per comparison -----------------
+
+
+def test_zero_multiplier_keeps_its_variable():
+    """0*x is 0 for every x, but x stays a free variable with its own track."""
+    s = logic.Session({})
+    assert s.compile("0*x=0").variables == ("x",)
+    s.define("f", "0*x<1")
+    assert s.automaton("f").arity == 1
+    assert s.eval("Ay $f(y)")
+    q = s.compile("0*(x-5)=0")  # still underflows below 5
+    assert q.variables == ("x",)
+    assert q.aut.accepts_numbers(5) and not q.aut.accepts_numbers(4)
+
+
+def test_comparison_builds_one_linear_atom(monkeypatch):
+    """A comparison is one arith.linear call for left - right, plus one per
+    side constraint: u <= t for t-u, two bounds for t/c."""
+    calls = []
+    real = arith.linear
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(arith, "linear", spy)
+    s = logic.Session({})
+    s.compile("x+2*y>=3*z+1")
+    assert calls == [((-1, -2, 3), 1, "<=")]  # 3z+1 - (x+2y) <= 0 over (x, y, z)
+    calls.clear()
+    s.compile("x-y=z/2")
+    assert sorted(c[2] for c in calls) == ["<=", "<=", "<=", "="]
+
+
+def _sides(divisions):
+    """Terms over x, y, z with + and -, multipliers up to 3 and, if asked,
+    divisors up to 5."""
+    def grow(t):
+        steps = [
+            st.tuples(t, st.sampled_from("+-"), t).map(lambda a: f"({a[0]}){a[1]}({a[2]})"),
+            st.tuples(st.integers(0, 3), t).map(lambda a: f"{a[0]}*({a[1]})"),
+        ]
+        if divisions:
+            steps.append(st.tuples(t, st.integers(1, 5)).map(lambda a: f"({a[0]})/{a[1]}"))
+        return st.one_of(*steps)
+
+    leaf = st.one_of(st.sampled_from(["x", "y", "z"]), st.integers(0, 20).map(str))
+    return st.recursive(leaf, grow, max_leaves=3)
+
+
+@st.composite
+def _comparisons(draw):
+    """A multiplier up to 50 on one variable, or divisions: a division on the
+    other side of 50*x scales it to 250*x, whose automaton alone has about
+    125,000 states."""
+    big = draw(st.booleans())
+    left, right = draw(_sides(not big)), draw(_sides(not big))
+    if big:
+        left = f"{draw(st.integers(0, 50))}*{draw(st.sampled_from('xyz'))}+({left})"
+    return f"{left}{draw(st.sampled_from(['=', '!=', '<', '<=', '>', '>=']))}{right}"
+
+
+_POINTS = np.random.default_rng(5).integers(0, 120, size=(40, 3)).tolist() + [[0, 0, 0], [1, 2, 3]]
+
+
+@given(_comparisons())
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_linear_comparisons_match_the_reference_evaluator(text):
+    from fibdecide import reproduce
+
+    f = logic.parse_formula(text)
+    q = logic.Session({}).compile(f)
+    assert set(q.variables) == logic.free_vars(f)
+    for point in _POINTS:
+        env = dict(zip("xyz", point))
+        got = q.aut.accepts_numbers(*(env[v] for v in q.variables))
+        assert got == reproduce._eval_formula(f, env), (text, env)

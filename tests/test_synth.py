@@ -52,10 +52,10 @@ def test_certify_function_examples(catalog):
     good = synth.certify_function(arith.eq(), catalog)
     assert good.ok and good.failures == []
     # a relation accepting both (0,0) and (0,1) fails uniqueness
-    c0 = arith.const(0)
+    c0, c1 = arith.linear((1,), 0), arith.linear((1,), -1)
     c01 = au.union(
         au.intersect(au.cylindrify(c0, [0], 2), au.cylindrify(c0, [1], 2)),
-        au.intersect(au.cylindrify(c0, [0], 2), au.cylindrify(arith.const(1), [1], 2)),
+        au.intersect(au.cylindrify(c0, [0], 2), au.cylindrify(c1, [1], 2)),
     )
     bad_rel = au.zero_normalize(au.union(c01, arith.eq()))
     bad = synth.certify_function(bad_rel, catalog)
