@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import automata as au
+from . import numeration as nu
 from .automata import Automaton
 
 __all__ = [
@@ -95,8 +96,14 @@ def linear(coeffs: tuple, k: int = 0, op: str = "=") -> Automaton:
     exact by construction.  alpha is computed in floats, so a state sinks
     only past B plus a margin far above the rounding error; a state kept
     live past B is still exact, and minimization removes it.
+
+    The constant.  B, and with it the state set, grows linearly in |k|.
+    Once |k| would widen B past the phi**2 * (D + 1) of one more track, and
+    the arity limit leaves one, k = sign(k)*t is read from that track: t is
+    fixed to |k| by a recognizer of 0* encode(|k|) and projected away.  t
+    holds one value, so each subset of the projection is fixed by the
+    balance of the other tracks, and the cost grows with log|k|.
     """
-    holds = _HOLDS[op]
     n = len(coeffs)
     if n > au.MAX_ARITY:  # before 2**n weights and states are built
         raise au.ArityError(f"arity {n} out of range 0..{au.MAX_ARITY}")
@@ -104,6 +111,11 @@ def linear(coeffs: tuple, k: int = 0, op: str = "=") -> Automaton:
         sum(c for i, c in enumerate(coeffs) if s >> (n - 1 - i) & 1) for s in range(1 << n)
     ]
     D = max(map(abs, weights))
+    if (D + abs(k) * 5**0.5) / _PHI > _PHI**2 * (D + 1) and n < au.MAX_ARITY:
+        fixed = au.zero_normalize(au.regex_compile("0*" + nu.encode(abs(k)), 1))
+        wide = linear(tuple(coeffs) + (1 if k > 0 else -1,), 0, op)
+        return au.project(au.minimize(au.intersect(wide, au.cylindrify(fixed, [n], n + 1))), n)
+    holds = _HOLDS[op]
     bound = max(_PHI**2 * D, (D + abs(k) * 5**0.5) / _PHI) + 1e-9 * (1 + D + abs(k))
     # states 0 and 1 are the positive and negative sinks; state 2 is (0, 0)
     order = [(0, 0)]

@@ -568,11 +568,7 @@ class Compiler:
             left, right = f.left, f.right
             if op in (">", ">="):
                 op, left, right = op.replace(">", "<"), right, left
-            constraints: list[CompiledQuery] = []
-            a, j = self._linear(left, fresh, constraints)
-            b, k = self._linear(right, fresh, constraints)
-            base = self._relation(_combine(a, b, -1), j - k, op)
-            q = self._join(base, constraints, _term_vars(left) | _term_vars(right))
+            q = self._comparison(left, op, right, fresh)
             return self._negate(q) if f.op == "!=" else q
         if isinstance(f, (Apply, DfaoTest)):
             return self._applied(f, fresh)
@@ -652,19 +648,47 @@ class Compiler:
 
     def _atom(self, rel: Automaton, terms, fresh) -> CompiledQuery:
         """Apply a relation to a tuple of terms; each compound term, and each
-        repeat of a variable, becomes a helper v under the constraint v - t = 0."""
+        repeat of a variable, becomes a helper v under the comparison v = t."""
         constraints: list[CompiledQuery] = []
         names = []
         for t in terms:
             if isinstance(t, Var) and t.name not in names:
                 names.append(t.name)
                 continue
-            form, k = self._linear(t, fresh, constraints)
             v = f"_{next(fresh)}"
-            constraints.append(self._relation(_combine({v: 1}, form, -1), -k, "="))
+            constraints.append(self._comparison(Var(v), "=", t, fresh))
             names.append(v)
         keep = set().union(*map(_term_vars, terms))
         return self._join(self._oriented(rel, tuple(names)), constraints, keep)
+
+    def _comparison(self, left: Term, op: str, right: Term, fresh) -> CompiledQuery:
+        """left OP right for OP one of = < <=: one linear atom on left - right,
+        joined with the side constraints that keep - and / relational.
+
+        Every division adds a helper track to the atom.  When helpers widen
+        it past _ATOM_TRACKS and past the comparison's own variables, a
+        subterm t of at most half the width is named by a helper h first:
+        the comparison becomes Eh (h = t & left OP right with t as h).
+        """
+        specs: list[tuple] = []
+        a, j = self._linear(left, fresh, specs)
+        b, k = self._linear(right, fresh, specs)
+        specs.insert(0, (_combine(a, b, -1), j - k, op))
+        keep = _term_vars(left) | _term_vars(right)
+        widest = max(len(form) for form, _, _ in specs)
+        if widest <= max(_ATOM_TRACKS, len(keep)) and widest <= au.MAX_ARITY:
+            base, *constraints = (self._relation(*spec) for spec in specs)
+            return self._join(base, constraints, keep)
+        half = _width(BinTerm("+", left, right)) // 2  # both sides together
+        t = max(left, right, key=_width)
+        while isinstance(t, BinTerm) and _width(t) > half:
+            t = max(t.left, t.right, key=_width)
+        if len(keep) >= au.MAX_ARITY or _width(t) < 2:
+            shown = f"{term_text(left)} {op} {term_text(right)}"
+            raise CompileError(f"{shown} needs {widest} tracks, past the arity limit {au.MAX_ARITY}")
+        h = Var(f"_{next(fresh)}")
+        rest = Compare(op, _replace(left, t, h), _replace(right, t, h))
+        return self._compile(Quant("E", (h.name,), BoolOp("&", Compare("=", h, t), rest)), fresh)
 
     def _join(self, acc: CompiledQuery, constraints: list, keep: set) -> CompiledQuery:
         """Conjoin constraints into acc, dropping each helper (a variable not
@@ -684,7 +708,7 @@ class Compiler:
 
     def _linear(self, t: Term, fresh, constraints) -> tuple[dict, int]:
         """Fold a term into ({variable: coefficient}, constant), adding the
-        side constraints that keep - and / relational.
+        side constraints that keep - and / relational as (form, k, op).
 
         A variable keeps its track even at coefficient 0, as in 0*x or x-x.
         """
@@ -698,7 +722,7 @@ class Compiler:
             if t.op == "+":
                 return _combine(a, b, 1), j + k
             # natural subtraction: t - u exists only where u <= t
-            constraints.append(self._relation(_combine(b, a, -1), k - j, "<="))
+            constraints.append((_combine(b, a, -1), k - j, "<="))
             return _combine(a, b, -1), j - k
         if t.op == "*":
             c, u = (t.left, t.right) if isinstance(t.left, Const) else (t.right, t.left)
@@ -713,8 +737,8 @@ class Compiler:
             form, k = self._linear(t.left, fresh, constraints)
             z = f"_{next(fresh)}"
             # z = t/c exactly when c*z <= t <= c*z + c - 1
-            constraints.append(self._relation(_combine({z: c}, form, -1), -k, "<="))
-            constraints.append(self._relation(_combine(form, {z: c}, -1), k - c + 1, "<="))
+            constraints.append((_combine({z: c}, form, -1), -k, "<="))
+            constraints.append((_combine(form, {z: c}, -1), k - c + 1, "<="))
             return {z: 1}, 0
         raise CompileError(f"unknown term operator {t.op}")
 
@@ -748,6 +772,45 @@ class Compiler:
 def _combine(a: dict, b: dict, sign: int) -> dict:
     """The linear form a + sign*b, keeping every variable of both."""
     return {v: a.get(v, 0) + sign * b.get(v, 0) for v in a.keys() | b.keys()}
+
+
+# Division helpers may widen a comparison's linear atom to this many tracks,
+# or to its own variable count if that is larger.  An atom on n tracks reads
+# 2**n symbols and its states grow with the square of its largest weight:
+# x_1 + ... + x_7 = y takes 5 s and 0.3 GB on one core of a 2-core x86-64
+# host, one more track 31 s and 1.4 GB.
+_ATOM_TRACKS = 6
+
+
+def _width(t: Term) -> int:
+    """The tracks folding t can need: its variables and divisions (each
+    division folds to its own helper, so divisions count by id)."""
+
+    def tracks(u):
+        if isinstance(u, Var):
+            return {u.name}
+        if isinstance(u, Const):
+            return set()
+        return ({id(u)} if u.op == "/" else set()) | tracks(u.left) | tracks(u.right)
+
+    return len(tracks(t))
+
+
+def _replace(t: Term, old: Term, new: Term) -> Term:
+    if t == old:
+        return new
+    if isinstance(t, BinTerm):
+        return BinTerm(t.op, _replace(t.left, old, new), _replace(t.right, old, new))
+    return t
+
+
+def term_text(t: Term) -> str:
+    """t in the query syntax, every compound operand parenthesized."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Const):
+        return str(t.value)
+    return f"({term_text(t.left)}){t.op}({term_text(t.right)})"
 
 
 # -- sessions --------------------------------------------------------------------

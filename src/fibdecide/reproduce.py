@@ -709,8 +709,8 @@ def _eval_term(text, env):
 
 def _eval_formula(f, env):
     if isinstance(f, logic.Compare):
-        a = _eval_term(_term_text(f.left), env)
-        b = _eval_term(_term_text(f.right), env)
+        a = _eval_term(logic.term_text(f.left), env)
+        b = _eval_term(logic.term_text(f.right), env)
         if a is None or b is None:
             # an underflowing term satisfies no relation; != is ~(=)
             present = f.op == "!="
@@ -725,14 +725,6 @@ def _eval_formula(f, env):
         b = _eval_formula(f.right, env)
         return {"&": a and b, "|": a or b, "=>": (not a) or b, "<=>": a == b}[f.op]
     raise TypeError(f)
-
-
-def _term_text(t):
-    if isinstance(t, logic.Var):
-        return t.name
-    if isinstance(t, logic.Const):
-        return str(t.value)
-    return f"({_term_text(t.left)}){t.op}({_term_text(t.right)})"
 
 
 def engine_soundness(seed, catalog):

@@ -235,6 +235,23 @@ def test_linear_fifty_times():
     assert logic.Session({}).eval("Ex,y x=50*y+7 & y=1000")
 
 
+def test_linear_reads_a_large_constant_from_a_track():
+    """x = 10**9 is the recognizer of one string, not O(10**9) balance states."""
+    big = 10**9
+    assert _same_bytes(arith.linear((1,), -big), reference_chain.const(big))
+    assert logic.Session({}).compile(f"x={big}").aut.n_states == 45
+    ops = {"=": np.equal, "<": np.less, "<=": np.less_equal}
+    for coeffs, k in (((1, -1), -big), ((2, -3), -big), ((-1, 5), big), ((3, 1), 1 - big)):
+        # x straddles -k / c_0, so every OP flips inside the sampled points
+        centre = -k // coeffs[0]
+        xs, ys = np.meshgrid(np.arange(centre - 100, centre + 100), np.arange(40), indexing="ij")
+        xs, ys = xs.ravel(), ys.ravel()
+        total = coeffs[0] * xs + coeffs[1] * ys + k
+        for op, holds in ops.items():
+            got = arith.accepts_number_pairs(arith.linear(coeffs, k, op), xs, ys)
+            assert np.array_equal(got, holds(total, 0)), (coeffs, k, op)
+
+
 def test_linear_rejects_too_many_tracks_before_building():
     with pytest.raises(au.ArityError, match="arity 13"):
         arith.linear((1,) * 13)

@@ -725,6 +725,26 @@ def test_comparison_builds_one_linear_atom(monkeypatch):
     assert sorted(c[2] for c in calls) == ["<=", "<=", "<=", "="]
 
 
+def test_helper_heavy_comparison_is_split():
+    """Twelve divisions would put 13 tracks on one atom, past the arity
+    limit; the comparison names a subterm by a helper instead."""
+    from fibdecide import reproduce
+
+    f = logic.parse_formula("y=" + "+".join(["x/1", "x/2"] * 6))
+    q = logic.Session({}).compile(f)
+    assert q.variables == ("x", "y")
+    for x in range(40):
+        want = 6 * (x + x // 2)
+        for y in range(max(0, want - 1), want + 2):
+            env = {"x": x, "y": y}
+            assert q.aut.accepts_numbers(x, y) == reproduce._eval_formula(f, env) == (y == want)
+
+
+def test_comparison_over_too_many_variables_is_a_compile_error():
+    with pytest.raises(logic.CompileError, match=r"\+\(m\) = 1 needs 13 tracks"):
+        logic.Session({}).compile("+".join("abcdefghijklm") + "=1")
+
+
 def _sides(divisions):
     """Terms over x, y, z with + and -, multipliers up to 3 and, if asked,
     divisors up to 5."""
