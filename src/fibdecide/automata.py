@@ -17,7 +17,9 @@ value per state, a DFA being the special case with outputs in {0, 1}
   automaton, states numbered by BFS from the initial state with symbols
   taken in ascending index order.  Two automata are language-equal iff
   their canonical forms are identical arrays, which is what
-  :func:`equivalent` checks.
+  :func:`equivalent` checks.  Every round of its partition refinement is
+  exact: rows are grouped by a 64-bit hash, verified row by row, and
+  regrouped by a byte sort on a collision.
 * :func:`partial_state_count` implements the state-count convention used
   for figures and reported sizes: states of the minimal partial automaton
   whose transition function is restricted to a domain language (for this
@@ -26,6 +28,7 @@ value per state, a DFA being the special case with outputs in {0, 1}
 
 from __future__ import annotations
 
+import random
 import re
 
 import numpy as np
@@ -66,8 +69,9 @@ __all__ = [
 
 MAX_ARITY = 12
 
-_HASH_MOD = (1 << 61) - 1
-_HASH_MUL = 1_000_003
+# odd weights that hash a signature row of _moore_partition, up to 2**12
+# successor columns plus the own class, to one wrapping int64
+_ROW_WEIGHTS = np.frombuffer(random.Random(0).randbytes(8 * ((1 << MAX_ARITY) + 1)), np.int64) | 1
 
 
 class AutomatonError(ValueError):
@@ -400,78 +404,47 @@ def _reachable_order(delta: np.ndarray, initial: int) -> np.ndarray:
     return np.concatenate(order)
 
 
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Number the rows of an int64 matrix so that exactly the equal rows
+    share a number: group them by a wrapping 64-bit hash, check each row
+    against its group's first, and on a collision sort them as bytes."""
+    h = rows @ _ROW_WEIGHTS[: rows.shape[1]]
+    _, first, ids = np.unique(h, return_index=True, return_inverse=True)
+    if not np.array_equal(rows[first[ids]], rows):
+        as_bytes = np.ascontiguousarray(rows).view(np.dtype((np.void, rows[0].nbytes)))
+        _, ids = np.unique(as_bytes.ravel(), return_inverse=True)
+    return ids
+
+
 def _moore_partition(delta: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """Coarsest congruence refining the output partition.  Exact result.
+    """Coarsest congruence refining the output partition.
 
-    Iterates hash-based refinement (fast) and then verifies the fixpoint
-    exactly, falling back to exact per-symbol refinement on the unlikely
-    chance of a hash collision.
+    Each round numbers the states by their exact signature, the row (own
+    class, class of each successor), so it refines the round before; the
+    loop stops when a round splits no class.
     """
-    n, S = delta.shape
-    _, ids = np.unique(outputs, return_inverse=True)
-    ids = ids.astype(np.int64)
-    while True:
+    ids, k = np.unique(outputs, return_inverse=True)[1], 0
+    while int(ids.max()) + 1 > k:
         k = int(ids.max()) + 1
-        h = ids.copy()
-        for s in range(S):
-            h = (h * _HASH_MUL + ids[delta[:, s]]) % _HASH_MOD
-        _, nids = np.unique(h, return_inverse=True)
-        # join with previous ids so refinement never coarsens
-        _, ids2 = np.unique(ids * (int(nids.max()) + 1) + nids, return_inverse=True)
-        if int(ids2.max()) + 1 == k:
-            ids = ids2
-            break
-        ids = ids2.astype(np.int64)
-    if _partition_stable(delta, ids):
-        return ids.astype(np.int32)
-    # hash collision: exact, slower refinement
-    _, ids = np.unique(outputs, return_inverse=True)
-    ids = ids.astype(np.int64)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(S):
-            k = int(ids.max()) + 1
-            _, nids = np.unique(ids * k + ids[delta[:, s]], return_inverse=True)
-            if int(nids.max()) + 1 != k:
-                ids = nids.astype(np.int64)
-                changed = True
-    return ids.astype(np.int32)
-
-
-def _partition_stable(delta: np.ndarray, ids: np.ndarray) -> bool:
-    n, S = delta.shape
-    k = int(ids.max()) + 1
-    rep = np.zeros(k, dtype=np.int64)
-    rep[ids] = np.arange(n)  # some representative per class
-    for s in range(S):
-        if not np.array_equal(ids[delta[:, s]], ids[delta[rep[ids], s]]):
-            return False
-    return True
+        ids = _row_ids(np.column_stack((ids, ids[delta])))
+    return ids
 
 
 def minimize(a: Automaton) -> Automaton:
-    """Canonical minimal complete automaton (BFS numbering, symbol order)."""
-    order = _reachable_order(a.delta, a.initial)
-    remap = np.full(a.n_states, -1, dtype=np.int32)
-    remap[order] = np.arange(order.size, dtype=np.int32)
-    delta = remap[a.delta[order]]
-    outputs = a.outputs[order]
-    ids = _moore_partition(delta, outputs)
-    # quotient, then BFS renumber for the canonical form
+    """Canonical minimal complete automaton (BFS numbering, symbol order).
+    The BFS over the quotient drops the classes no path reaches."""
+    ids = _moore_partition(a.delta, a.outputs)
     k = int(ids.max()) + 1
     rep = np.zeros(k, dtype=np.int64)
-    rep[ids] = np.arange(order.size)
-    qdelta = ids[delta[rep]]
-    qout = outputs[rep]
-    qinit = int(ids[0])
-    order2 = _reachable_order(qdelta, qinit)
-    remap2 = np.full(k, -1, dtype=np.int32)
-    remap2[order2] = np.arange(order2.size, dtype=np.int32)
+    rep[ids] = np.arange(a.n_states)
+    qdelta = ids[a.delta[rep]]
+    order = _reachable_order(qdelta, int(ids[a.initial]))
+    remap = np.full(k, -1, dtype=np.int32)
+    remap[order] = np.arange(order.size, dtype=np.int32)
     return Automaton(
         a.arity,
-        remap2[qdelta[order2]],
-        qout[order2],
+        remap[qdelta[order]],
+        a.outputs[rep[order]],
         0,
         zero_normalized=a.zero_normalized,
     )

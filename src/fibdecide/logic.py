@@ -671,8 +671,9 @@ class Compiler:
         the comparison becomes Eh (h = t & left OP right with t as h).
         """
         specs: list[tuple] = []
-        a, j = self._linear(left, fresh, specs)
-        b, k = self._linear(right, fresh, specs)
+        helpers: dict = {}  # an equal t/c term on either side shares its helper
+        a, j = self._linear(left, fresh, specs, helpers)
+        b, k = self._linear(right, fresh, specs, helpers)
         specs.insert(0, (_combine(a, b, -1), j - k, op))
         keep = _term_vars(left) | _term_vars(right)
         widest = max(len(form) for form, _, _ in specs)
@@ -706,9 +707,10 @@ class Compiler:
                 acc = self._exists(acc, v)
         return acc
 
-    def _linear(self, t: Term, fresh, constraints) -> tuple[dict, int]:
+    def _linear(self, t: Term, fresh, constraints, helpers) -> tuple[dict, int]:
         """Fold a term into ({variable: coefficient}, constant), adding the
         side constraints that keep - and / relational as (form, k, op).
+        helpers maps each t/c term already folded to its helper variable.
 
         A variable keeps its track even at coefficient 0, as in 0*x or x-x.
         """
@@ -717,8 +719,8 @@ class Compiler:
         if isinstance(t, Const):
             return {}, t.value
         if t.op in ("+", "-"):
-            a, j = self._linear(t.left, fresh, constraints)
-            b, k = self._linear(t.right, fresh, constraints)
+            a, j = self._linear(t.left, fresh, constraints, helpers)
+            b, k = self._linear(t.right, fresh, constraints, helpers)
             if t.op == "+":
                 return _combine(a, b, 1), j + k
             # natural subtraction: t - u exists only where u <= t
@@ -728,14 +730,16 @@ class Compiler:
             c, u = (t.left, t.right) if isinstance(t.left, Const) else (t.right, t.left)
             if not isinstance(c, Const):
                 raise CompileError("multiplication needs a constant operand")
-            form, k = self._linear(u, fresh, constraints)
+            form, k = self._linear(u, fresh, constraints, helpers)
             return {v: c.value * a for v, a in form.items()}, c.value * k
         if t.op == "/":
             if not isinstance(t.right, Const) or t.right.value == 0:
                 raise CompileError("division needs a positive constant divisor")
+            if t in helpers:
+                return {helpers[t]: 1}, 0
             c = t.right.value
-            form, k = self._linear(t.left, fresh, constraints)
-            z = f"_{next(fresh)}"
+            form, k = self._linear(t.left, fresh, constraints, helpers)
+            z = helpers[t] = f"_{next(fresh)}"
             # z = t/c exactly when c*z <= t <= c*z + c - 1
             constraints.append((_combine({z: c}, form, -1), -k, "<="))
             constraints.append((_combine(form, {z: c}, -1), k - c + 1, "<="))
@@ -783,15 +787,15 @@ _ATOM_TRACKS = 6
 
 
 def _width(t: Term) -> int:
-    """The tracks folding t can need: its variables and divisions (each
-    division folds to its own helper, so divisions count by id)."""
+    """The tracks folding t can need: its variables and divisions (equal
+    divisions share one helper, so divisions count by value)."""
 
     def tracks(u):
         if isinstance(u, Var):
             return {u.name}
         if isinstance(u, Const):
             return set()
-        return ({id(u)} if u.op == "/" else set()) | tracks(u.left) | tracks(u.right)
+        return ({u} if u.op == "/" else set()) | tracks(u.left) | tracks(u.right)
 
     return len(tracks(t))
 

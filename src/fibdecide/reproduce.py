@@ -744,11 +744,14 @@ def engine_soundness(seed, catalog):
             got = q.aut.accepts_numbers(*(env[v] for v in q.variables)) if q.variables else q.aut.accepts("")
             if want != got:
                 return False, f"formula {text} disagrees at {env}"
-    # quantifier laws on a few closed samples
+    # quantifiers on a few closed samples: a witness in [0, 30)^2 makes
+    # Ex,y TRUE, and a counterexample there makes Ax,y FALSE
     for trial in range(6):
         body = _random_formula(rng, ["x", "y"], 1)
-        lhs = session.compile(f"Ex,y {body}")
-        rhs = session.compile(f"~(Ax,y ~({body}))")
-        if lhs.aut.accepts("") != rhs.aut.accepts(""):
+        ast_f = logic.parse_formula(body)
+        seen = {_eval_formula(ast_f, {"x": x, "y": y}) for x in range(30) for y in range(30)}
+        some = session.compile(f"Ex,y {body}").aut.accepts("")
+        every = session.compile(f"Ax,y {body}").aut.accepts("")
+        if (True in seen and not some) or (False in seen and every):
             return False, f"quantifier law failed for {body}"
     return True, "40 formulas x 60 assignments, plus quantifier-law samples"

@@ -17,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fibdecide import cli
 from fibdecide import reproduce as rp
 from fibdecide import seqs
 
@@ -176,3 +177,46 @@ def test_script_automata_and_verdicts_are_golden(reproduction):
     assert built == list(SCRIPT_AUTOMATA)
     got = {name: _digest(run.session.automaton(name)) for name in built}
     assert got == SCRIPT_AUTOMATA
+
+
+# the same digests of the 13 stored catalog automata and the 9 certified
+# syntheses
+CATALOG_AUTOMATA = {
+    "valid": "c0322be02fa85037058887f84401c39bebe35f19f96bb52fb3ed9291a33769ad",
+    "eq": "0b667f9224546e4b7ddaadf280ad1e8e73f34710fc45efa14a69cbfe566cde8b",
+    "lt": "cb03771b107299588df5f7ec807541317986502f343ae1e641f8d982ea4e17ee",
+    "leq": "99c17dc1175106738aff7eebb4291627d5e059a3f3aad5e321c080e46a2f3092",
+    "add": "afc2e7c5720f6799d38166a86e9743b77865f6ad06b9ce99daa48966c1d55f45",
+    "phin": "8b1a3c571a90faf338946c44ddb2e87e4e1cd984cdac6cf0c086bfe500c3bae6",
+    "phi2n": "81d63615d43dbe89842206d46a60d92a2c008e1f2036ab00eed0c61fa034db28",
+    "a007067": "caa8ebfee24e35717a8240136688ac0129d7742d2c3eeb54b2fc85378658208c",
+    "a007064": "8427c431f8f73dee12fc9f42eb1e71d42ec8687cf336f28e2e2ecb54231ecb0c",
+    "a004937": "11812564fc635a5d272ba32eebbc3ec8c9f249ad25fe4bf522dc15683a7e1c26",
+    "a003623": "9069dea43c3afa595a3fe305df27d436adc0f46e1b681b50e1ec5bf6126d5c1b",
+    "a035487": "5f20bce946126cf185ba0f4b736b354ad815bfb5187da3bfdd2918a79d8c066e",
+    "fibword": "c450d2c34d17bbc52aec095aba99d7e1df2264f3bb495822da2591cccad1a5a9",
+}
+
+RELATIONS = {
+    "a105774": "01601891c6b9af5e744ee0b5f7782418e0b26a9f2168b23b66b23624f9f07069",
+    "p0": "74bf34b4577a24e33af1a345e3b9fedd3aab1f8e1c442969f62e202366e0faf4",
+    "p1": "b018178ddcc5fe38d1c343f015d15add5b69cf37490bc43d9861c213108e4863",
+    "p2": "8427c431f8f73dee12fc9f42eb1e71d42ec8687cf336f28e2e2ecb54231ecb0c",
+    "a368200": "72ab0d58c58d612c3a962943f90afadbec6a39091a5b271b7218aa6fb28f4911",
+    "aprime": "95527bd78cace236c259113dd50f5e1e710ca35d2a95f69c33a0270e27ba7270",
+    "a21": "daa45e87ffa6a3bb972df94450ee87c27a6785b0e1a04a55f542f43e3bfa3138",
+    "nestedb": "ffee270a82662f09d82993589395e7ec23ab63336a892df75fa9acce4e8ecf53",
+    "lucasvar": "6b4e50f6d670452b473604d80ad2bbdd719d77d87c818384730a5ab6e3029d73",
+}
+
+
+def test_catalog_relations_and_state_counts_are_golden(reproduction, results):
+    run, _ = reproduction
+    assert list(CATALOG_AUTOMATA) == cli.Store.CATALOG_NAMES
+    assert {name: _digest(run.catalog[name]) for name in CATALOG_AUTOMATA} == CATALOG_AUTOMATA
+    assert {name: _digest(aut) for name, aut in run.relations.items()} == RELATIONS
+    # criterion 7 allows +-2 states; the counts themselves are exact
+    assert results["mod_dfao_state_counts"].detail == "counts {2: 8, 3: 18, 4: 32, 5: 50}"
+    assert results["variant_state_counts"].detail == (
+        "a21=22 (expected 22), nestedb=24 (expected 24), lucasvar=102 (expected 102)"
+    )

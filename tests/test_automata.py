@@ -547,26 +547,71 @@ def test_subset_limit_is_enforced(monkeypatch):
 
 
 def test_refinement_survives_hash_collisions(catalog, monkeypatch):
-    """With _HASH_MOD = 2 the hashed refinement stops early; the exact
-    fallback still gives the canonical forms and the reported counts."""
+    """With zero row weights every row hashes alike, so every round groups
+    its rows by sorting them as bytes; the canonical forms and the reported
+    counts come out the same."""
     rng = np.random.default_rng(5)
     auts = [catalog[name] for name in catalog.names]
     auts += [_random_dfao(rng, arity, n_states=20) for arity in (1, 2, 3) for _ in range(5)]
     want = [au.minimize(a) for a in auts]
     valid = arith.valid()
     mods = {k: arith.mod_dfao(k, verify_bound=2000) for k in (2, 3)}
-    stable = []
-    real = au._partition_stable
+    byte_sorts = []
+    unique = np.unique
 
-    def spy(delta, ids):
-        stable.append(real(delta, ids))
-        return stable[-1]
+    def spy(ar, *args, **kwargs):
+        byte_sorts.append(np.asarray(ar).dtype.kind == "V")
+        return unique(ar, *args, **kwargs)
 
-    monkeypatch.setattr(au, "_partition_stable", spy)
-    monkeypatch.setattr(au, "_HASH_MOD", 2)
+    monkeypatch.setattr(au, "_ROW_WEIGHTS", np.zeros_like(au._ROW_WEIGHTS))
+    monkeypatch.setattr(np, "unique", spy)
     for a, m in zip(auts, want):
         got = au.minimize(a)
         assert np.array_equal(got.delta, m.delta) and np.array_equal(got.outputs, m.outputs)
     for k, dfao in mods.items():
         assert au.partial_state_count(dfao, valid) == 2 * k * k
-    assert False in stable  # the exact fallback ran
+    assert True in byte_sorts  # the byte-sort path ran
+
+
+def _moore_reference(delta, outputs):
+    """Moore refinement in plain Python: a dict numbers the signature tuples
+    (own class, class of each successor) until a round splits no class."""
+    rows = delta.tolist()
+    ids = [int(v) for v in outputs]
+    while True:
+        sigs = {}
+        new = [sigs.setdefault((ids[q], *(ids[t] for t in row)), len(sigs)) for q, row in enumerate(rows)]
+        if len(sigs) == len(set(ids)):
+            return new
+        ids = new
+
+
+def _reachable_part(a):
+    seen, order = {a.initial}, [a.initial]
+    for q in order:
+        for t in a.delta[q].tolist():
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    index = {q: i for i, q in enumerate(order)}
+    delta = [[index[t] for t in a.delta[q].tolist()] for q in order]
+    return au.Automaton(a.arity, delta, a.outputs[order], 0)
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+def test_moore_partition_matches_reference(arity):
+    """Seeded DFAs and DFAOs whose last states no path from state 0 reaches."""
+    rng = np.random.default_rng(arity + 101)
+    S = 1 << arity
+    for trial in range(60):
+        live, dead = int(rng.integers(1, 25)), int(rng.integers(0, 8))
+        n = live + dead
+        delta = np.vstack([rng.integers(0, live, (live, S)), rng.integers(0, n, (dead, S))])
+        outputs = rng.integers(0, 2 if trial % 2 else 4, n)
+        got = au._moore_partition(delta, outputs).tolist()
+        want = _moore_reference(delta, outputs)
+        pairs = set(zip(got, want))
+        assert len(pairs) == len(set(got)) == len(set(want)), trial
+        a = au.Automaton(arity, delta, outputs, 0)
+        m, r = au.minimize(a), au.minimize(_reachable_part(a))
+        assert np.array_equal(m.delta, r.delta) and np.array_equal(m.outputs, r.outputs), trial

@@ -726,18 +726,42 @@ def test_comparison_builds_one_linear_atom(monkeypatch):
 
 
 def test_helper_heavy_comparison_is_split():
-    """Twelve divisions would put 13 tracks on one atom, past the arity
-    limit; the comparison names a subterm by a helper instead."""
+    """Twelve different divisions would put 14 tracks on one atom, past the
+    arity limit; the comparison names a subterm by a helper instead."""
     from fibdecide import reproduce
 
-    f = logic.parse_formula("y=" + "+".join(["x/1", "x/2"] * 6))
+    parts = [(k, c) for k in range(6) for c in (1, 2)]
+    f = logic.parse_formula("y=" + "+".join(f"(x+{k})/{c}" for k, c in parts))
     q = logic.Session({}).compile(f)
     assert q.variables == ("x", "y")
     for x in range(40):
-        want = 6 * (x + x // 2)
+        want = sum((x + k) // c for k, c in parts)
         for y in range(max(0, want - 1), want + 2):
             env = {"x": x, "y": y}
             assert q.aut.accepts_numbers(x, y) == reproduce._eval_formula(f, env) == (y == want)
+
+
+def test_equal_quotients_share_one_helper(monkeypatch):
+    """Both sides' ((z)+(19))/1 fold to one helper: the comparison builds its
+    linear atom and that helper's two bounds, not a second helper's too."""
+    from fibdecide import reproduce
+
+    calls = []
+    relation = logic.Compiler._relation
+
+    def spy(self, *spec):
+        calls.append(spec)
+        return relation(self, *spec)
+
+    monkeypatch.setattr(logic.Compiler, "_relation", spy)
+    f = logic.parse_formula("50*x+((z)+(19))/1<=((z)+(19))/1")
+    q = logic.Session({}).compile(f)
+    assert len(calls) == 3
+    assert q.variables == ("x", "z")
+    for x in range(4):
+        for z in range(30):
+            env = {"x": x, "z": z}
+            assert q.aut.accepts_numbers(x, z) == reproduce._eval_formula(f, env) == (x == 0)
 
 
 def test_comparison_over_too_many_variables_is_a_compile_error():
