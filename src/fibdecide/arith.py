@@ -235,17 +235,19 @@ def _certify_fibword(aut: Automaton, n: int) -> None:
 
 
 def mod_dfao(k: int, *, verify_bound: int = 100_000) -> Automaton:
-    """Minimal DFAO for n mod k, synthesized from the oracle and verified."""
+    """Minimal DFAO for n mod k, built from the balance of :func:`linear`.
+
+    A state is the pair (p, q) mod k of the value p*F(m+2) + q*F(m+1)
+    after a prefix; digit d maps it to ((p + q + d) mod k, p) and the
+    output is (p + q) mod k.  The k*k states are minimized and checked
+    against n mod k for n < verify_bound.
+    """
     if k < 2:
         raise ValueError("mod_dfao needs k >= 2")
-    from . import synth
-
-    cand = synth.guess_dfao(
-        lambda n: n % k,
-        batch=lambda ns: ns % k,
-        values=range(k),
-        max_states=8 * k * k + 16,
-    )
+    pq = np.arange(k * k)
+    p, q = pq // k, pq % k
+    delta = np.stack([(p + q + d) % k * k + p for d in (0, 1)], axis=1)
+    cand = au.minimize(Automaton(1, delta, (p + q) % k, 0))
     got = dfao_values(cand, np.arange(verify_bound))
     want = np.arange(verify_bound) % k
     if not np.array_equal(got, want):

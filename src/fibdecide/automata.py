@@ -50,18 +50,15 @@ __all__ = [
     "project",
     "zero_normalize",
     "cylindrify",
-    "swap_tracks",
     "combine",
     "regex_compile",
     "RegexError",
-    "is_empty",
     "equivalent",
     "sample_language",
     "serialize",
     "deserialize",
     "export_dot",
     "partial_state_count",
-    "digit_matrix",
     "run_numbers",
     "encode_pair_word",
     "word_from_string",
@@ -187,36 +184,39 @@ class Nfa:
 # -- word coercion and number encodings --------------------------------
 
 
+_BITS = (0, 1, "0", "1")
+_SYMBOLS = re.compile(r"(?:\s*\[[^\[\]]*\])*\s*")
+
+
+def _pack(bits, arity: int) -> int:
+    """Index of one symbol given as exactly `arity` bits, each 0 or 1; text
+    such as '0, 1' holds the bits separated by commas."""
+    if isinstance(bits, str):
+        bits = [b.strip() for b in bits.split(",")] if bits.strip() else []
+    bits = tuple(bits)
+    if len(bits) != arity or any(b not in _BITS for b in bits):
+        raise AutomatonError(f"symbol {list(bits)} is not {arity} bits")
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | int(b)
+    return idx
+
+
 def word_from_string(text: str, arity: int) -> list:
     """Parse '0101' (arity 1) or '[0,1][1,0]' into symbol indices."""
     if arity == 1 and "[" not in text:
-        return [int(c) for c in text]
-    syms = []
-    for m in re.finditer(r"\[([01,\s]*)\]", text):
-        bits = [b.strip() for b in m.group(1).split(",")] if m.group(1).strip() else []
-        if len(bits) != arity:
-            raise AutomatonError(f"symbol {m.group(0)} does not have {arity} tracks")
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | int(b)
-        syms.append(idx)
-    return syms
+        return [_pack(c, 1) for c in text]
+    if not _SYMBOLS.fullmatch(text):
+        raise AutomatonError(f"{text!r} is not a word of bracketed symbols")
+    return [_pack(body, arity) for body in re.findall(r"\[([^\]]*)\]", text)]
 
 
 def _coerce_word(word, arity):
     if isinstance(word, str):
         return word_from_string(word, arity)
-    out = []
-    for sym in word:
-        if isinstance(sym, (tuple, list)):
-            if len(sym) != arity:
-                raise AutomatonError(f"symbol {sym} does not have {arity} tracks")
-            idx = 0
-            for b in sym:
-                idx = (idx << 1) | int(b)
-            out.append(idx)
-        else:
-            out.append(int(sym))
+    out = [_pack(sym, arity) if isinstance(sym, (tuple, list)) else int(sym) for sym in word]
+    if out and (min(out) < 0 or max(out) >> arity):
+        raise AutomatonError(f"a symbol of {out} is outside 0..{(1 << arity) - 1}")
     return out
 
 
@@ -232,28 +232,6 @@ def encode_pair_word(nums) -> list:
             idx = (idx << 1) | (d[col] == "1")
         word.append(idx)
     return word
-
-
-def digit_matrix(ns, width: int | None = None) -> np.ndarray:
-    """Zeckendorf digits of an integer array, msd first, one row per value."""
-    ns = np.ascontiguousarray(ns, dtype=np.int64)
-    hi = int(ns.max()) if ns.size else 0
-    k = 2
-    while numeration.fib(k + 1) <= hi:
-        k += 1
-    need = k - 1  # digits for weights F(k) .. F(2)
-    if width is None:
-        width = need
-    elif width < need:
-        raise AutomatonError(f"width {width} too small for values up to {hi}")
-    out = np.zeros((ns.size, width), dtype=np.uint8)
-    rem = ns.copy()
-    for col in range(width):
-        f = numeration.fib(width + 1 - col)
-        take = rem >= f
-        out[:, col] = take
-        rem -= take * f
-    return out
 
 
 # Rows per block of run_numbers: keeps the remainder, index and state
@@ -461,12 +439,6 @@ def equivalent(a: Automaton, b: Automaton) -> bool:
     )
 
 
-def is_empty(a: Automaton) -> bool:
-    _require_boolean(a)
-    order = _reachable_order(a.delta, a.initial)
-    return not bool(np.any(a.outputs[order] == 1))
-
-
 # -- subset construction -------------------------------------------------
 
 
@@ -530,49 +502,44 @@ def determinize(nfa: Nfa) -> Automaton:
     return Automaton(nfa.arity, rows, outs)
 
 
+def _padded_subsets(arity: int, starts, succ, acc: np.ndarray) -> Automaton:
+    """Minimal zero-normalized DFA of an NFA read after any zero prefix.
+
+    succ[s][q] is the tuple of successors of state q on symbol s and acc
+    the accepting mask.  A fresh start state loops on symbol 0 and accepts
+    when the zero-closure of `starts` meets acc; each non-zero symbol s
+    enters the subset construction seeded from the s-successors of that
+    closure.
+    """
+    closure = set(starts)
+    stack = list(closure)
+    while stack:
+        for t in succ[0][stack.pop()]:
+            if t not in closure:
+                closure.add(t)
+                stack.append(t)
+    start_out = int(acc[sorted(closure)].any())
+    S = len(succ)
+    if not closure or S == 1:
+        return Automaton(
+            arity, np.zeros((1, S), dtype=np.int32), [start_out], 0, zero_normalized=True
+        )
+    seeds = [[t for q in closure for t in succ[s][q]] for s in range(1, S)]
+    rows, outs, seed_ids = _subsets(seeds, succ, set(np.flatnonzero(acc).tolist()))
+    delta = np.vstack(([0] + [i + 1 for i in seed_ids], rows + 1))
+    return minimize(Automaton(arity, delta, np.append(start_out, outs), 0, zero_normalized=True))
+
+
 def zero_normalize(a: Automaton) -> Automaton:
     """Closure under leading all-zero padding.
 
     The result accepts w iff a accepts some u with strip0(u) = strip0(w),
     i.e. membership becomes invariant under adding or removing leading
-    all-zero symbols.  A fresh start state consumes the zero prefix; the
-    first non-zero symbol enters the subset construction seeded from the
-    zero-closure of the original initial state.
+    all-zero symbols.
     """
     _require_boolean(a)
-    closure = []
-    seen = set()
-    q = a.initial
-    while q not in seen:
-        seen.add(q)
-        closure.append(q)
-        q = int(a.delta[q, 0])
-    closure_arr = np.array(sorted(set(closure)), dtype=np.int32)
-    acc = a.outputs == 1
-    S = a.n_symbols
-    if S == 1:
-        val = 1 if bool(acc[closure_arr].any()) else 0
-        return Automaton(
-            a.arity,
-            np.zeros((1, 1), dtype=np.int32),
-            np.array([val], dtype=np.int32),
-            0,
-            zero_normalized=True,
-        )
-    seeds = [a.delta[closure_arr, s].tolist() for s in range(1, S)]
     succ = [[(t,) for t in col] for col in a.delta.T.tolist()]
-    rows, outs, seed_ids = _subsets(seeds, succ, set(np.flatnonzero(acc).tolist()))
-    n_sub = rows.shape[0]
-    delta = np.empty((n_sub + 1, S), dtype=np.int32)
-    delta[0, 0] = 0
-    for s in range(1, S):
-        delta[0, s] = seed_ids[s - 1] + 1
-    delta[1:, :] = rows + 1
-    outputs = np.empty(n_sub + 1, dtype=np.int32)
-    outputs[0] = 1 if bool(acc[closure_arr].any()) else 0
-    outputs[1:] = outs
-    out = minimize(Automaton(a.arity, delta, outputs, 0))
-    return Automaton(out.arity, out.delta, out.outputs, out.initial, zero_normalized=True)
+    return _padded_subsets(a.arity, [a.initial], succ, a.outputs == 1)
 
 
 def _insert_bit_tables(arity: int, track: int):
@@ -590,10 +557,11 @@ def project(a: Automaton, track: int) -> Automaton:
     """Existential quantification: drop a track.
 
     Accepts w iff some value on the dropped track pairs with w, including
-    values whose representation is longer than w: the initial states are
-    the closure of the start under symbols that are zero on every kept
-    track.  Requires a zero-normalized input; the result is determinized,
-    zero-normalized, and minimized.
+    values whose representation is longer than w: the reduced zero symbol
+    reads 0 or 1 on the dropped track, so the zero prefix the result
+    skips covers the longer values.  Requires a zero-normalized input; the
+    result is determinized, zero-normalized and minimized in one subset
+    construction.
     """
     _require_boolean(a)
     if not (0 <= track < a.arity):
@@ -603,28 +571,9 @@ def project(a: Automaton, track: int) -> Automaton:
     i0, i1 = _insert_bit_tables(a.arity, track)
     t0 = a.delta[:, i0]
     t1 = a.delta[:, i1]
-    # closure of the start under pad symbols (zero on all kept tracks)
-    closure = set()
-    frontier = {a.initial}
-    while frontier:
-        closure |= frontier
-        nxt = set()
-        for q in frontier:
-            nxt.add(int(a.delta[q, 0]))
-            nxt.add(int(a.delta[q, 1 << (a.arity - 1 - track)]))
-        frontier = nxt - closure
     acc = a.outputs == 1
     # states with no accepting future never matter inside a subset
     keep = _coreachable(a.delta, acc)
-    seed = [q for q in closure if keep[q]]
-    if not seed:
-        return Automaton(
-            a.arity - 1,
-            np.zeros((1, 1 << (a.arity - 1)), dtype=np.int32),
-            np.array([0], dtype=np.int32),
-            0,
-            zero_normalized=True,
-        )
     # successors of q on a reduced symbol: the kept ones of lo <= hi, once
     lo, hi = np.minimum(t0, t1).T, np.maximum(t0, t1).T
     klo, khi = keep[lo], keep[hi] & (hi != lo)
@@ -632,9 +581,8 @@ def project(a: Automaton, track: int) -> Automaton:
         [(x, y) if kx and ky else (x,) if kx else (y,) if ky else () for x, y, kx, ky in zip(*c)]
         for c in zip(lo.tolist(), hi.tolist(), klo.tolist(), khi.tolist())
     ]
-    rows, outs, _ = _subsets([seed], succ, set(np.flatnonzero(acc).tolist()))
-    out = Automaton(a.arity - 1, rows, outs)
-    return zero_normalize(out)
+    starts = [a.initial] if keep[a.initial] else []
+    return _padded_subsets(a.arity - 1, starts, succ, acc)
 
 
 def cylindrify(a: Automaton, positions, new_arity: int) -> Automaton:
@@ -661,11 +609,6 @@ def cylindrify(a: Automaton, positions, new_arity: int) -> Automaton:
     return Automaton(
         new_arity, delta, a.outputs, a.initial, zero_normalized=a.zero_normalized
     )
-
-
-def swap_tracks(a: Automaton, perm) -> Automaton:
-    """Permute tracks; perm[i] = new position of old track i."""
-    return cylindrify(a, perm, a.arity)
 
 
 # -- DFAO assembly -------------------------------------------------------
@@ -906,12 +849,11 @@ class _RegexParser:
                 raise RegexError("unterminated symbol", start)
             body = self.text[self.pos + 1 : end]
             self.pos = end + 1
-            bits = [b.strip() for b in body.split(",")] if body.strip() else []
-            if len(bits) != self.arity or any(b not in ("0", "1") for b in bits):
-                raise RegexError(f"symbol [{body}] does not fit arity {self.arity}", start)
-            idx = 0
-            for b in bits:
-                idx = (idx << 1) | int(b)
+            try:
+                idx = _pack(body, self.arity)
+            except AutomatonError:
+                msg = f"symbol [{body}] does not fit arity {self.arity}"
+                raise RegexError(msg, start) from None
             return ("sym", idx)
         if c in ("0", "1") and self.arity == 1:
             self.pos += 1
@@ -1058,7 +1000,10 @@ def deserialize(text: str) -> Automaton:
     for q, symtext, t, lineno in trans:
         if not (0 <= q < n and 0 <= t < n):
             raise AutomatonError(f"line {lineno}: state out of range")
-        syms = word_from_string(symtext, arity)
+        try:
+            syms = word_from_string(symtext, arity)
+        except AutomatonError as exc:
+            raise AutomatonError(f"line {lineno}: {exc}") from None
         if len(syms) != 1:
             raise AutomatonError(f"line {lineno}: expected one symbol")
         delta[q, syms[0]] = t

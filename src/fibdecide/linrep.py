@@ -33,8 +33,6 @@ __all__ = [
     "carlitz_linrep",
     "check_permutation",
     "check_distinct_transform",
-    "serialize_linrep",
-    "deserialize_linrep",
 ]
 
 
@@ -276,39 +274,4 @@ def carlitz_linrep() -> LinRep:
         "d": ((0, 0, 1), (0, 1, 1), (1, 2, 1)),
     }
     right = (1, 0, 0)
-    return LinRep(left, mats, right)
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def serialize_linrep(lr: LinRep) -> str:
-    letters = [str(a) for a in lr.alphabet]
-    lines = [f"linrep {lr.dim} {' '.join(letters)}"]
-    lines.append(" ".join(str(x) for x in lr.left))
-    for a in lr.alphabet:
-        for row in lr.mats[a]:
-            lines.append(" ".join(str(x) for x in row))
-    lines.append(" ".join(str(x) for x in lr.right))
-    return "\n".join(lines) + "\n"
-
-
-def deserialize_linrep(text: str) -> LinRep:
-    rows = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not rows or rows[0][0] != "linrep":
-        raise ValueError("missing linrep header")
-    dim = int(rows[0][1])
-    letters = rows[0][2:]
-    body = rows[1:]
-    need = 1 + dim * len(letters) + 1
-    if len(body) != need:
-        raise ValueError(f"expected {need} vector/matrix rows, got {len(body)}")
-    left = tuple(int(x) for x in body[0])
-    mats = {}
-    at = 1
-    for letter in letters:
-        key: object = int(letter) if letter.isdigit() else letter
-        mats[key] = tuple(tuple(int(x) for x in body[at + i]) for i in range(dim))
-        at += dim
-    right = tuple(int(x) for x in body[at])
     return LinRep(left, mats, right)

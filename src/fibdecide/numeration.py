@@ -21,7 +21,6 @@ __all__ = [
     "lucas",
     "encode",
     "decode",
-    "is_canonical",
     "isqrt",
     "floor_phi",
     "floor_phi2",
@@ -92,13 +91,6 @@ def decode(s: str) -> int:
         elif ch != "0":
             raise ValueError(f"not a bit string: {s!r}")
     return total
-
-
-def is_canonical(s: str) -> bool:
-    """True for the canonical form: no adjacent 1s, no leading zero."""
-    if s == "":
-        return True
-    return s[0] == "1" and "11" not in s and set(s) <= {"0", "1"}
 
 
 def floor_phi(n: int) -> int:

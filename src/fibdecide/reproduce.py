@@ -26,7 +26,7 @@ from . import numeration as nu
 from . import seqs
 from . import synth
 
-__all__ = ["Reproduction", "StepResult", "CRITERIA"]
+__all__ = ["Reproduction", "StepResult"]
 
 
 @dataclass
@@ -678,39 +678,31 @@ def _random_formula(rng, vars_, depth):
     )
 
 
-def _eval_term(text, env):
-    """Reference semantics: natural subtraction fails (None) on underflow."""
-    import ast
-
-    node = ast.parse(text, mode="eval").body
-
-    def go(node):
-        if isinstance(node, ast.BinOp):
-            a, b = go(node.left), go(node.right)
-            if a is None or b is None:
-                return None
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b if a >= b else None
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if isinstance(node.op, ast.Div):
-                return a // b
-            raise ValueError(node.op)
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        raise ValueError(node)
-
-    return go(node)
+def _eval_term(t, env):
+    """Reference semantics: natural subtraction fails (None) on underflow,
+    and / is floor division."""
+    if isinstance(t, logic.Var):
+        return env[t.name]
+    if isinstance(t, logic.Const):
+        return t.value
+    a, b = _eval_term(t.left, env), _eval_term(t.right, env)
+    if a is None or b is None:
+        return None
+    if t.op == "+":
+        return a + b
+    if t.op == "-":
+        return a - b if a >= b else None
+    if t.op == "*":
+        return a * b
+    if t.op == "/":
+        return a // b
+    raise ValueError(t.op)
 
 
 def _eval_formula(f, env):
     if isinstance(f, logic.Compare):
-        a = _eval_term(logic.term_text(f.left), env)
-        b = _eval_term(logic.term_text(f.right), env)
+        a = _eval_term(f.left, env)
+        b = _eval_term(f.right, env)
         if a is None or b is None:
             # an underflowing term satisfies no relation; != is ~(=)
             present = f.op == "!="

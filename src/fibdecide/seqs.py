@@ -49,7 +49,6 @@ __all__ = [
     "t_closed",
     "x_comp",
     "d_comp",
-    "floor_phi_table",
     "a035487_set",
 ]
 
@@ -160,11 +159,6 @@ LUCAS_VARIANT_PREFIX = [0, 1, 2, 1, 3, 6, 5, 6, 10, 9, 10, 8, 17, 16, 17, 15, 12
 
 
 # -- Beatty oracles -----------------------------------------------------------
-
-
-def floor_phi_table(n: int) -> np.ndarray:
-    """Vectorized exact floor(phi m) for m = 0..n-1."""
-    return _vec_floor_phi(np.arange(n, dtype=np.int64))
 
 
 def _beatty_batch(kind: str, ms: np.ndarray) -> np.ndarray:

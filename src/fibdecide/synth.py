@@ -33,14 +33,12 @@ __all__ = [
     "ObservationTable",
     "guess_dfa",
     "guess_synchronized",
-    "guess_dfao",
     "Verdict",
     "SynthesisReport",
     "function_certificate",
     "query_certificate",
     "recurrence_certificate",
     "certify_function",
-    "certify_recurrence",
     "synthesize_certified",
     "DEFAULT_SCHEDULE",
 ]
@@ -175,9 +173,9 @@ def _suffix_words(n_symbols: int, max_len: int, zero_run: int, tail_len: int):
 
 
 class _SuffixData:
-    """Per-suffix descriptors enabling vectorized signature rows."""
+    """Per-suffix descriptors of both tracks, for vectorized signature rows."""
 
-    def __init__(self, words, arity):
+    def __init__(self, words):
         self.count = len(words)
         lens = np.array([len(w) for w in words], dtype=np.int64)
         self.f2 = np.array([nu.fib(int(L) + 2) for L in lens], dtype=np.int64)
@@ -185,8 +183,7 @@ class _SuffixData:
         self.values = []
         self.valid = []
         self.first = []
-        for tr in range(arity):
-            shift = arity - 1 - tr
+        for shift in (1, 0):  # track 0 is the high bit
             vals = np.zeros(self.count, dtype=np.int64)
             ok = np.ones(self.count, dtype=bool)
             first = np.zeros(self.count, dtype=bool)
@@ -268,46 +265,6 @@ class _PairSource:
             ~vmask, 0, np.where(known, hit.astype(np.uint8), UNKNOWN)
         ).astype(np.uint8)
         return sig
-
-
-class _SeqSource:
-    """Classifier oracle for one output value of a sequence DFAO.
-
-    Member(w) = (f([w]) == value) under the total [.]-interpretation of
-    arbitrary bit strings; with a bounded table, entries above the bound
-    are UNKNOWN.
-    """
-
-    arity = 1
-    n_symbols = 2
-
-    def __init__(self, value, suffixes: _SuffixData, table=None, batch=None):
-        self.value = value
-        self.sfx = suffixes
-        self.table = table
-        self.batch = batch
-
-    def init(self):
-        return (0, 0, ())
-
-    def step(self, st, sym):
-        p, q, word = st
-        return (p + q + sym, p, word + (sym,))
-
-    def describe(self, st):
-        return "".join(str(s) for s in st[2])
-
-    def signature(self, st) -> np.ndarray:
-        p, q, _ = st
-        sfx = self.sfx
-        n = p * sfx.f2 + q * sfx.f1 + sfx.values[0]
-        if self.batch is not None:
-            vals = self.batch(n)
-            return (vals == self.value).astype(np.uint8)
-        known = n < len(self.table)
-        hit = np.zeros(sfx.count, dtype=bool)
-        hit[known] = self.table[n[known]] == self.value
-        return np.where(known, hit.astype(np.uint8), UNKNOWN).astype(np.uint8)
 
 
 class _StringSource:
@@ -408,7 +365,7 @@ def guess_synchronized(
     want = oracle.table(probe)
     extra: list[tuple] = []
     for _ in range(replay_rounds):
-        sfx = _SuffixData(words + extra, 2)
+        sfx = _SuffixData(words + extra)
         src = _PairSource(sfx, table=table_vals, batch=batch)
         table = ObservationTable(src, max_states, max_depth)
         raw = table.hypothesis()
@@ -429,44 +386,6 @@ def guess_synchronized(
             )
         extra.extend(fresh)
     raise BoundExhausted(f"replay did not stabilize within {replay_rounds} rounds")
-
-
-def guess_dfao(
-    scalar,
-    *,
-    values,
-    batch=None,
-    n_samples: int = 65536,
-    suffix_len: int = 8,
-    zero_run: int = 24,
-    tail_len: int = 2,
-    max_states: int = 512,
-    max_depth: int | None = None,
-) -> Automaton:
-    """Learn a DFAO for a finite-range sequence: one classifier DFA per value.
-
-    With `batch` given the oracle is total on every bit string (via the
-    numeric value of the string), so there are no unknown entries; with
-    only a table, entries beyond n_samples are unknown.
-    """
-    words = _suffix_words(2, suffix_len, zero_run, tail_len)
-    sfx = _SuffixData(words, 1)
-    table = None
-    if batch is None:
-        from .seqs import SequenceOracle
-
-        if isinstance(scalar, SequenceOracle):
-            table = np.asarray(scalar.table(n_samples), dtype=np.int64)
-        else:
-            table = np.array([scalar(i) for i in range(n_samples)], dtype=np.int64)
-    if max_depth is None:
-        max_depth = 48
-    parts = []
-    for v in values:
-        src = _SeqSource(v, sfx, table=table, batch=batch)
-        t = ObservationTable(src, max_states, max_depth)
-        parts.append((au.minimize(t.hypothesis()), int(v)))
-    return au.combine(parts)
 
 
 # -- certification -------------------------------------------------------------
@@ -604,10 +523,6 @@ def recurrence_certificate(kind: str, x: int = 1, y: int = 1, base_checks=None):
 
 def certify_function(candidate: Automaton, catalog) -> Verdict:
     return function_certificate("function")(candidate, catalog)
-
-
-def certify_recurrence(candidate: Automaton, catalog, kind="fib", **kw) -> Verdict:
-    return recurrence_certificate(kind, **kw)(candidate, catalog)
 
 
 def synthesize_certified(

@@ -17,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fibdecide import arith
 from fibdecide import cli
 from fibdecide import reproduce as rp
 from fibdecide import seqs
@@ -220,3 +221,19 @@ def test_catalog_relations_and_state_counts_are_golden(reproduction, results):
     assert results["variant_state_counts"].detail == (
         "a21=22 (expected 22), nestedb=24 (expected 24), lucasvar=102 (expected 102)"
     )
+
+
+# the same digests of the mod-k DFAOs for k = 2..5, recorded when mod_dfao
+# still learned them; the build from the (p, q) balance gives these bytes
+MOD_DFAOS = {
+    2: "2fe2050f0afcaec62f8e8d3ba2cd3f58c8e0f5ce3b2cca953e399c1ceea344d2",
+    3: "f932850ca3d7c1d41b449dc1e78ab7e3dbe389db1e5ad32d9c7669609551d191",
+    4: "7ae0b7f73c8719cee4d39889361541de5c8d40ce53dcc9109c89f463f31a751e",
+    5: "5c9c09eb5a5d5eeaa7f430765116e90ee6bd3b2a4c08c6070524104ea93aad0b",
+}
+
+
+def test_mod_dfaos_are_golden():
+    got = {k: arith.mod_dfao(k, verify_bound=1000) for k in MOD_DFAOS}
+    assert {k: _digest(a) for k, a in got.items()} == MOD_DFAOS
+    assert [a.n_states for a in got.values()] == [4, 9, 16, 25]

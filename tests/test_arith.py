@@ -155,7 +155,7 @@ def test_add_certificate_rejects_every_differing_mutant():
 
 def test_add_commutes():
     add = arith.add()
-    swapped = au.swap_tracks(add, [1, 0, 2])
+    swapped = au.cylindrify(add, [1, 0, 2], add.arity)
     assert au.equivalent(add, swapped)
 
 

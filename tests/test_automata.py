@@ -7,6 +7,7 @@ from fibdecide import logic
 from fibdecide import numeration as nu
 
 import reference_chain
+import reference_kernel
 
 
 def small_dfa(pattern):
@@ -15,7 +16,7 @@ def small_dfa(pattern):
 
 def test_boolean_algebra_examples():
     a = arith.valid()
-    assert au.is_empty(au.intersect(a, au.complement(a)))
+    assert not au.minimize(au.intersect(a, au.complement(a))).outputs.any()
     assert au.equivalent(au.minimize(au.intersect(a, a)), au.minimize(a))
 
 
@@ -41,7 +42,7 @@ def test_determinize_roundtrip():
     assert au.equivalent(au.determinize(nfa), d)
     empty = au.Nfa(1, 1, (), (), {})
     dd = au.determinize(empty)
-    assert au.is_empty(dd)
+    assert not au.minimize(dd).outputs.any()
 
 
 def test_determinize_single_one():
@@ -114,7 +115,7 @@ def test_cylindrify_examples():
 
 def test_swap_tracks():
     lt = arith.lt()
-    gt = au.swap_tracks(lt, [1, 0])
+    gt = au.cylindrify(lt, [1, 0], lt.arity)
     assert gt.accepts_numbers(7, 4) and not gt.accepts_numbers(4, 7)
 
 
@@ -158,7 +159,7 @@ def test_accepts_and_values(catalog):
 
 def test_is_empty_equivalent_sample():
     empty = au.intersect(arith.valid(), au.complement(arith.valid()))
-    assert au.is_empty(empty)
+    assert not au.minimize(empty).outputs.any()
     two_halves_a = logic.Session({}).compile("z=n/2").aut
     two_halves_b = au.minimize(two_halves_a)
     assert au.equivalent(two_halves_a, two_halves_b)
@@ -218,6 +219,30 @@ def test_word_coercions():
         eqr.accepts([(1,)])
 
 
+def test_malformed_words_are_rejected():
+    """Every symbol is exactly `arity` bits, each 0 or 1; bracketed text
+    holds symbols and whitespace only; integer symbols lie in
+    range(2**arity)."""
+    eqr, valid = arith.eq(), arith.valid()
+    assert au.word_from_string(" [1,0]\n[0 , 1] ", 2) == [2, 1]
+    assert au.word_from_string("[][]", 0) == [0, 0]
+    assert au.word_from_string("0101", 1) == [0, 1, 0, 1]
+    for text in ("[0,2]", "[1,2][2,1]", "[0,1]junk[1,0]", "01", "[0,1", "[0,1,0]", "[,]"):
+        with pytest.raises(au.AutomatonError):
+            au.word_from_string(text, 2)
+    for word in ("[1,2][2,1]", [(1, 2)], [(1, 0, 1)], [4], [-1], [(1, 1), 7]):
+        with pytest.raises(au.AutomatonError):
+            eqr.accepts(word)
+    for word in ([-1], [2], "012", "0 1"):
+        with pytest.raises(au.AutomatonError):
+            valid.accepts(word)
+    with pytest.raises(au.RegexError, match="position"):
+        au.regex_compile("[0,2]", 2)
+    with pytest.raises(au.AutomatonError, match="line 5"):
+        au.deserialize("fibaut 1\narity 1\nstates 1\ninitial 0\ntrans 0 [2] 0\ntrans 0 [1] 0\n")
+    assert eqr.accepts([(True, True), (0, 0)]) and valid.accepts(np.array([1, 0]))
+
+
 def test_random_nfa_determinize_agreement():
     import random
 
@@ -252,7 +277,7 @@ def _walk_reference(a, cols):
     cols = [np.asarray(c, dtype=np.int64) for c in cols]
     hi = max(int(c.max()) for c in cols)
     width = max(len(nu.encode(hi)), 1)
-    mats = [au.digit_matrix(c, width) for c in cols]
+    mats = [reference_kernel.digit_matrix(c, width) for c in cols]
     out = []
     for i in range(cols[0].size):
         q = a.initial
@@ -390,8 +415,10 @@ def test_subsets_match_reference(arity):
 
 
 def test_project_and_zero_normalize_build_reference_subsets(monkeypatch):
-    """The successor tuples project and zero_normalize hand to _subsets give
-    the reference tables, keep mask included."""
+    """project and zero_normalize each run one subset construction, seeded
+    for every non-zero symbol from the successors of the start's
+    zero-closure; project's tables are the kept lo/hi successors of the
+    dropped track, and its zero-closure is the pad closure of the start."""
     calls = []
     real = au._subsets
 
@@ -412,24 +439,53 @@ def test_project_and_zero_normalize_build_reference_subsets(monkeypatch):
             track = int(rng.integers(0, arity))
             au.project(a, track)
             keep = au._coreachable(delta, acc)
-            seed = _pad_closure(delta, 0, (0, 1 << (arity - 1 - track)))
-            if not keep[seed].any():
-                assert not calls
-                continue
             i0, i1 = au._insert_bit_tables(arity, track)
-            want = _subset_multi([seed], [delta[:, i0], delta[:, i1]], acc, keep)
-            _assert_same_subsets(calls.pop(0), want)
-            # project zero-normalizes the subset automaton it built
-            delta, acc = want[0], want[1] == 1
+            tables = [delta[:, i0], delta[:, i1]]
+            closure = _pad_closure(delta, 0, (0, 1 << (arity - 1 - track)))
         else:
             au.zero_normalize(a)
-        if delta.shape[1] == 1:
+            keep = None
+            tables = [delta]
+            closure = _pad_closure(delta, 0, (0,))
+        S = tables[0].shape[1]
+        if S == 1 or (keep is not None and not keep[closure].any()):
             assert not calls
             continue
-        closure = _pad_closure(delta, 0, (0,))
-        seeds = [delta[closure, s] for s in range(1, delta.shape[1])]
-        _assert_same_subsets(calls.pop(0), _subset_multi(seeds, [delta], acc))
+        seeds = [np.concatenate([t[closure, s] for t in tables]) for s in range(1, S)]
+        _assert_same_subsets(calls.pop(0), _subset_multi(seeds, tables, acc, keep))
         assert not calls
+
+
+def _assert_same_automaton(got, want, *context):
+    for field in ("arity", "initial", "zero_normalized"):
+        assert getattr(got, field) == getattr(want, field), (field, *context)
+    for field in ("delta", "outputs"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and np.array_equal(g, w), (field, *context)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_project_matches_two_pass_reference(arity):
+    """The one padded subset construction gives the bytes of the former two
+    passes (reference_kernel): projections of raw and of zero-normalized
+    automata, empty ones included, and zero_normalize itself."""
+    rng = np.random.default_rng(arity * 1009 + 3)
+    empty = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        delta = rng.integers(0, n, (n, 1 << arity)).astype(np.int32)
+        acc = rng.random(n) < (0.0 if trial % 6 == 0 else 0.35)
+        raw = au.Automaton(arity, delta, acc.astype(np.int32))
+        zn = au.zero_normalize(raw)
+        _assert_same_automaton(zn, reference_kernel.zero_normalize(raw), trial)
+        flagged = au.Automaton(arity, delta, acc.astype(np.int32), 0, zero_normalized=True)
+        # a projection can be exponential in its input; zn can be 2**n states
+        for a in (flagged, zn) if zn.n_states <= 12 else (flagged,):
+            for track in range(arity):
+                got = au.project(a, track)
+                _assert_same_automaton(got, reference_kernel.project(a, track), trial, track)
+                empty += not got.outputs.any()
+    assert empty
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])

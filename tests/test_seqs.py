@@ -94,7 +94,7 @@ def test_recurrence_self_check():
 def test_bounds_from_lower_and_upper():
     n = 100_000
     a = seqs.a105774_table(n)
-    phi = seqs.floor_phi_table(n)
+    phi = seqs.oracle("phi").table(n)
     assert bool((a <= phi).all())
     assert bool((a >= (phi + 2 * np.arange(n)) // 5).all())
 
@@ -102,7 +102,7 @@ def test_bounds_from_lower_and_upper():
 def test_parity_matches_floor_phi():
     n = 100_000
     a = seqs.a105774_table(n)
-    phi = seqs.floor_phi_table(n)
+    phi = seqs.oracle("phi").table(n)
     assert bool(((a - phi) % 2 == 0).all())
 
 

@@ -70,10 +70,10 @@ def test_function_certificate_check_names(catalog):
 
 def test_certify_recurrence_main(catalog):
     rel = synth.guess_synchronized(seqs.oracle("a105774"), 16384)
-    verdict = synth.certify_recurrence(rel, catalog, kind="fib")
+    verdict = synth.recurrence_certificate("fib")(rel, catalog)
     assert verdict.ok
     # the identity relation does not satisfy the recurrence
-    wrong = synth.certify_recurrence(arith.eq(), catalog, kind="fib")
+    wrong = synth.recurrence_certificate("fib")(arith.eq(), catalog)
     assert not wrong.ok
 
 
@@ -103,26 +103,6 @@ def test_synthesize_exhaustion_on_hard_case(catalog):
     assert report.detail
 
 
-def test_guess_dfao_count_sequence():
-    dfao = synth.guess_dfao(seqs.oracle("count"), values=(0, 1, 2), n_samples=4096)
-    got = [dfao.value_at(n) for n in range(6)]
-    assert got == [1, 2, 1, 0, 2, 0]
-    want = seqs.count_c_table(2000)
-    vals = arith.dfao_values(dfao, np.arange(2000))
-    assert np.array_equal(vals, want)
-
-
-def test_guess_dfao_constant():
-    dfao = synth.guess_dfao(lambda n: 3, values=(3,), batch=lambda ns: np.full(ns.size, 3))
-    assert dfao.n_states == 1
-    assert dfao.value_at(77) == 3
-
-
-def test_guess_dfao_mod3_states():
-    dfao = synth.guess_dfao(lambda n: n % 3, values=range(3), batch=lambda ns: ns % 3)
-    assert au.partial_state_count(dfao, arith.valid()) == 18
-
-
 def test_learner_roundtrip_property():
     from fibdecide.reproduce import learner_roundtrip
 
@@ -147,7 +127,7 @@ def test_certified_candidate_replays_oracle(catalog):
 
 def test_observation_table_unknowns_never_merge_known_conflicts():
     words = synth._suffix_words(2, 2, 4, 1)
-    sfx = synth._SuffixData(words, 2)
+    sfx = synth._SuffixData(words)
     table_vals = seqs.oracle("a105774").table(64)
     src = synth._PairSource(sfx, table=np.asarray(table_vals))
     tab = synth.ObservationTable(src, max_states=256, max_depth=12)
@@ -174,5 +154,5 @@ def test_certification_ignores_state_numbering(catalog):
         zero_normalized=True,
     )
     assert au.equivalent(shuffled, rel)
-    verdict = synth.certify_recurrence(shuffled, catalog, kind="fib")
+    verdict = synth.recurrence_certificate("fib")(shuffled, catalog)
     assert verdict.ok
