@@ -573,15 +573,15 @@ def _random_automaton(rng, arity, max_states=6):
 
 
 def _lang_vector(a, max_len=8):
+    """Acceptance of every word up to max_len, by length, then by the index w
+    with word[k] = (w // S**k) % S; S = a.n_symbols."""
     out = []
-    for length in range(max_len + 1):
-        for w in range(a.n_symbols ** length):
-            word = []
-            x = w
-            for _ in range(length):
-                word.append(x % a.n_symbols)
-                x //= a.n_symbols
-            out.append(a.accepts(word))
+    # states after every word of the current length, in index order: a word
+    # one letter longer is w + S**length * (its last letter)
+    states = np.array([a.initial])
+    for _ in range(max_len + 1):
+        out.extend((a.outputs[states] == 1).tolist())
+        states = a.delta[states].T.ravel()
     return out
 
 

@@ -63,44 +63,51 @@ class InconsistencyError(SynthesisError):
         self.witness = witness
 
 
-def _compatible(a: np.ndarray, b: np.ndarray) -> bool:
-    return not bool(np.any((a != b) & (a != UNKNOWN) & (b != UNKNOWN)))
-
-
-def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a == UNKNOWN, b, a).astype(np.uint8)
-
-
 class ObservationTable:
     """Signature-indexed state table shared by every learner front end.
 
-    source must provide: n_symbols, init(), step(state, sym),
-    signature(state) -> uint8 ternary vector (entry 0 is the empty
-    suffix), and describe(state) for diagnostics.
+    source must provide: n_symbols, width, init(), step(state, sym),
+    signature(state) -> uint8 ternary vector of length width (entry 0 is
+    the empty suffix), and describe(state) for diagnostics.
+
+    The stored signatures are the rows of one uint8 matrix.  They stay
+    pairwise incompatible (each pair clashes on a mutually known entry),
+    since a row only ever gains known entries by a join with a compatible
+    signature.
     """
 
     def __init__(self, source, max_states: int, max_depth: int):
         self.source = source
         self.max_states = max_states
         self.max_depth = max_depth
-        self.sigs: list[np.ndarray] = []
+        self._rows = np.empty((max_states, source.width), dtype=np.uint8)
         self.reps: list = []
         self.depths: list[int] = []
         self._exact: dict[bytes, int] = {}
+
+    @property
+    def sigs(self) -> np.ndarray:
+        """The stored signatures, one row per state."""
+        return self._rows[: len(self.reps)]
 
     def _lookup(self, sig: np.ndarray) -> int | None:
         hit = self._exact.get(sig.tobytes())
         if hit is not None:
             return hit
-        for i, existing in enumerate(self.sigs):
-            if _compatible(existing, sig):
-                joined = _join(existing, sig)
-                if not np.array_equal(joined, existing):
-                    del self._exact[existing.tobytes()]
-                    self.sigs[i] = joined
-                    self._exact[joined.tobytes()] = i
-                return i
-        return None
+        rows = self.sigs
+        clash = (rows != sig) & (rows != UNKNOWN) & (sig != UNKNOWN)
+        free = np.flatnonzero(~clash.any(axis=1))
+        if not free.size:
+            return None
+        # the first compatible row wins: that order numbers the states
+        i = int(free[0])
+        existing = rows[i]
+        joined = np.where(existing == UNKNOWN, sig, existing)
+        if not np.array_equal(joined, existing):
+            del self._exact[existing.tobytes()]
+            existing[:] = joined
+            self._exact[existing.tobytes()] = i
+        return i
 
     def _add(self, sig: np.ndarray, state, depth: int) -> int:
         if len(self.reps) >= self.max_states:
@@ -114,7 +121,7 @@ class ObservationTable:
                 f"{self.source.describe(state)}"
             )
         idx = len(self.reps)
-        self.sigs.append(sig)
+        self._rows[idx] = sig
         self.reps.append(state)
         self.depths.append(depth)
         self._exact[sig.tobytes()] = idx
@@ -138,9 +145,7 @@ class ObservationTable:
                 row.append(target)
             rows.append(row)
             qi += 1
-        outputs = np.array(
-            [1 if s[0] == 1 else 0 for s in self.sigs], dtype=np.int32
-        )
+        outputs = (self.sigs[:, 0] == 1).astype(np.int32)
         return Automaton(
             src.arity, np.array(rows, dtype=np.int32), outputs, 0
         )
@@ -173,39 +178,41 @@ def _suffix_words(n_symbols: int, max_len: int, zero_run: int, tail_len: int):
 
 
 class _SuffixData:
-    """Per-suffix descriptors of both tracks, for vectorized signature rows."""
+    """Per-suffix descriptors of both tracks, for vectorized signature rows.
+
+    Each word e is described once: F(|e|+2), F(|e|+1) and, per track, its
+    value [e], whether it is valid (no adjacent ones) and whether it
+    leads with a one.  :meth:`extend` describes only the words it appends.
+    """
 
     def __init__(self, words):
-        self.count = len(words)
+        ints, flags = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+        self.count = 0
+        self.f2 = self.f1 = ints
+        self.values = [ints, ints]
+        self.valid = [flags, flags]
+        self.first = [flags, flags]
+        self.extend(words)
+
+    def extend(self, words) -> None:
         lens = np.array([len(w) for w in words], dtype=np.int64)
-        self.f2 = np.array([nu.fib(int(L) + 2) for L in lens], dtype=np.int64)
-        self.f1 = np.array([nu.fib(int(L) + 1) for L in lens], dtype=np.int64)
-        self.values = []
-        self.valid = []
-        self.first = []
-        for shift in (1, 0):  # track 0 is the high bit
-            vals = np.zeros(self.count, dtype=np.int64)
-            ok = np.ones(self.count, dtype=bool)
-            first = np.zeros(self.count, dtype=bool)
-            for i, w in enumerate(words):
-                bits = [(s >> shift) & 1 for s in w]
-                v = 0
-                prev = 0
-                good = True
-                for b in bits:
-                    if prev and b:
-                        good = False
-                    prev = b
-                t = len(bits)
-                for pos, b in enumerate(bits):
-                    if b:
-                        v += nu.fib(t - pos + 1)
-                vals[i] = v
-                ok[i] = good
-                first[i] = bool(bits[0]) if bits else False
-            self.values.append(vals)
-            self.valid.append(ok)
-            self.first.append(first)
+        width = max(int(lens.max(initial=0)), 1)
+        # symbols right-aligned, so column c weighs F(width - c + 1)
+        sym = np.zeros((len(words), width), dtype=np.int64)
+        for i, w in enumerate(words):
+            if w:
+                sym[i, width - len(w):] = w
+        fibs = np.array([nu.fib(k) for k in range(width + 3)], dtype=np.int64)
+        lead = np.where(lens > 0, sym[np.arange(len(words)), width - np.maximum(lens, 1)], 0)
+        self.count += len(words)
+        self.f2 = np.concatenate([self.f2, fibs[lens + 2]])
+        self.f1 = np.concatenate([self.f1, fibs[lens + 1]])
+        for t, shift in enumerate((1, 0)):  # track 0 is the high bit
+            bits = (sym >> shift) & 1
+            adjacent = np.any(bits[:, 1:] & bits[:, :-1], axis=1)
+            self.values[t] = np.concatenate([self.values[t], bits @ fibs[width + 1:1:-1]])
+            self.valid[t] = np.concatenate([self.valid[t], ~adjacent])
+            self.first[t] = np.concatenate([self.first[t], ((lead >> shift) & 1) == 1])
 
 
 # -- learner sources ----------------------------------------------------------
@@ -227,6 +234,7 @@ class _PairSource:
         self.batch = batch
         self.n_known = len(table) if table is not None else None
         self.sfx = suffixes
+        self.width = suffixes.count
 
     def init(self):
         return (0, 0, 0, 0, 0, 0, True, ())
@@ -279,6 +287,7 @@ class _StringSource:
         self.arity = arity
         self.n_symbols = 1 << arity
         self.suffixes = suffixes
+        self.width = len(suffixes)
         self.bound = bound
 
     def init(self):
@@ -363,9 +372,9 @@ def guess_synchronized(
     probe = min(n_samples, 50_000)
     ns = np.arange(probe)
     want = oracle.table(probe)
-    extra: list[tuple] = []
+    sfx = _SuffixData(words)
+    seen = set(words)
     for _ in range(replay_rounds):
-        sfx = _SuffixData(words + extra)
         src = _PairSource(sfx, table=table_vals, batch=batch)
         table = ObservationTable(src, max_states, max_depth)
         raw = table.hypothesis()
@@ -378,13 +387,14 @@ def guess_synchronized(
         bad = int(np.flatnonzero(~agreed)[0])
         word = tuple(au.encode_pair_word((bad, int(want[bad]))))
         fresh = [word[i:] for i in range(len(word))]
-        fresh = [w for w in fresh if w not in set(words) | set(extra)]
+        fresh = [w for w in fresh if w not in seen]
         if not fresh:
             raise InconsistencyError(
                 f"replay keeps failing at n={bad} with no new separators",
                 witness=(bad, int(want[bad])),
             )
-        extra.extend(fresh)
+        seen.update(fresh)
+        sfx.extend(fresh)
     raise BoundExhausted(f"replay did not stabilize within {replay_rounds} rounds")
 
 
@@ -535,6 +545,7 @@ def synthesize_certified(
     post_check=None,
 ) -> SynthesisReport:
     """Loop guess -> certify over an escalating sample schedule."""
+    oracle_name = getattr(oracle, "name", "?")
     learn_kwargs = dict(learn_kwargs or {})
     last_checks = []
     last_detail = ""
@@ -570,12 +581,8 @@ def synthesize_certified(
             checks.append((name, good))
             ok = good
         if ok:
-            return SynthesisReport(
-                oracle.name, candidate, n, "CERTIFIED", checks
-            )
+            return SynthesisReport(oracle_name, candidate, n, "CERTIFIED", checks)
         last_checks = checks
         failed = [name for name, good in checks if not good]
         last_detail = f"failed: {', '.join(failed)}"
-    return SynthesisReport(
-        getattr(oracle, "name", "?"), None, last_n, "EXHAUSTED", last_checks, last_detail
-    )
+    return SynthesisReport(oracle_name, None, last_n, "EXHAUSTED", last_checks, last_detail)

@@ -13,11 +13,13 @@ fact).
 """
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
 from fibdecide import arith
+from fibdecide import automata as au
 from fibdecide import cli
 from fibdecide import reproduce as rp
 from fibdecide import seqs
@@ -237,3 +239,16 @@ def test_mod_dfaos_are_golden():
     got = {k: arith.mod_dfao(k, verify_bound=1000) for k in MOD_DFAOS}
     assert {k: _digest(a) for k, a in got.items()} == MOD_DFAOS
     assert [a.n_states for a in got.values()] == [4, 9, 16, 25]
+
+
+def test_lang_vector_matches_scalar_acceptance():
+    rng = random.Random(11)
+    for _ in range(40):
+        a = rp._random_automaton(rng, rng.choice([1, 2]))
+        # any start state, and an output 2 that is not acceptance
+        a = au.Automaton(a.arity, a.delta, [rng.randrange(3) for _ in range(a.n_states)],
+                         rng.randrange(a.n_states))
+        S = a.n_symbols
+        want = [a.accepts([(w // S**k) % S for k in range(length)])
+                for length in range(6) for w in range(S**length)]
+        assert rp._lang_vector(a, 5) == want

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_synth
 from fibdecide import arith
 from fibdecide import automata as au
 from fibdecide import numeration as nu
@@ -126,15 +127,84 @@ def test_certified_candidate_replays_oracle(catalog):
 
 
 def test_observation_table_unknowns_never_merge_known_conflicts():
-    words = synth._suffix_words(2, 2, 4, 1)
+    # suffixes over both tracks, so that states near the 64-sample bound
+    # store UNKNOWN entries (over symbols 0 and 1 alone they never do)
+    words = synth._suffix_words(4, 2, 6, 1)
     sfx = synth._SuffixData(words)
     table_vals = seqs.oracle("a105774").table(64)
     src = synth._PairSource(sfx, table=np.asarray(table_vals))
     tab = synth.ObservationTable(src, max_states=256, max_depth=12)
-    hyp = tab.hypothesis()
-    # states with fully known, different signatures stayed distinct
-    sigs = {s.tobytes() for s in tab.sigs}
-    assert len(sigs) == len(tab.sigs)
+    tab.hypothesis()
+    sigs = tab.sigs
+    # beyond the 64 samples the table really is three-valued
+    assert (sigs == synth.UNKNOWN).any()
+    assert len({s.tobytes() for s in sigs}) == len(sigs)
+    # every two states clash on an entry that both know: joins only add
+    # known entries, so no merge ever hid a known conflict
+    known = sigs != synth.UNKNOWN
+    clash = (sigs[:, None] != sigs[None]) & known[:, None] & known[None]
+    apart = clash.any(axis=2)
+    np.fill_diagonal(apart, True)
+    assert apart.all()
+
+
+class _StubSource:
+    width = 12
+
+    def describe(self, state):
+        return repr(state)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 0.9])
+def test_observation_table_lookup_matches_reference(density):
+    # ternary signatures drawn around a few binary patterns, with UNKNOWN
+    # entries at the given density: exact hits, joins and new states
+    rng = np.random.default_rng(round(10 * density) + 3)
+    width = _StubSource.width
+    bases = rng.integers(0, 2, size=(6, width)).astype(np.uint8)
+    tab = synth.ObservationTable(_StubSource(), max_states=400, max_depth=0)
+    ref = reference_synth.ListTable()
+    got, want = [], []
+    for _ in range(400):
+        sig = bases[rng.integers(len(bases))].copy()
+        sig[rng.random(width) < density] = synth.UNKNOWN
+        i = tab._lookup(sig)
+        got.append(tab._add(sig, None, 0) if i is None else i)
+        j = ref.lookup(sig)
+        want.append(ref.add(sig.copy()) if j is None else j)
+    assert got == want
+    assert np.array_equal(tab.sigs, np.array(ref.sigs))
+
+
+def test_suffix_data_matches_bitwise_reference():
+    words = synth._suffix_words(4, 3, 6, 2)
+    # appended words, one longer than any first word
+    extra = [(2, 1, 0, 3, 3), (1,), (1, 0, 2, 0, 1, 0, 2, 0, 2, 1)]
+    sfx = synth._SuffixData(words)
+    sfx.extend(extra)
+    f2, f1, values, valid, first = reference_synth.suffix_descriptors(words + extra)
+    assert sfx.count == len(words) + len(extra)
+    assert sfx.f2.tolist() == f2 and sfx.f1.tolist() == f1
+    for t in (0, 1):
+        assert sfx.values[t].tolist() == values[t]
+        assert sfx.valid[t].tolist() == valid[t]
+        assert sfx.first[t].tolist() == first[t]
+
+
+def test_synthesize_certified_nameless_oracle(catalog):
+    class Identity:
+        cheap_scalar = False
+
+        def table(self, n):
+            return np.arange(n)
+
+    report = synth.synthesize_certified(
+        Identity(), [synth.function_certificate("fn")],
+        schedule=(256,), catalog=catalog,
+    )
+    assert report.verdict == "CERTIFIED"
+    assert report.oracle_name == "?"
+    assert au.equivalent(report.candidate, arith.eq())
 
 
 def test_certification_ignores_state_numbering(catalog):
