@@ -295,13 +295,7 @@ _BEATTY_DEFS = [
 ]
 
 
-def build_catalog(
-    *,
-    schedule=(4096, 16384, 65536),
-    phin_verify: int = 1 << 20,
-    beatty_verify: int = 100_000,
-    progress=None,
-) -> BuiltinCatalog:
+def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> BuiltinCatalog:
     """Construct and certify the builtin catalog."""
     from . import logic, seqs, synth
 
@@ -322,7 +316,7 @@ def build_catalog(
     report = synth.synthesize_certified(
         phin_oracle,
         certificates=[synth.function_certificate("phin"), synth.query_certificate("phin", _PHIN_CERT)],
-        schedule=schedule,
+        schedule=(4096, 16384, 65536),
         catalog=cat,
     )
     if report.verdict != "CERTIFIED":
@@ -343,7 +337,7 @@ def build_catalog(
     for name, body in _BEATTY_DEFS:
         session.define(name, body)
         cat[name] = session.automaton(name)
-    _certify_beatty(cat, beatty_verify)
+    _certify_beatty(cat, 100_000)
 
     note("fibword DFAO")
     fw = fibword()

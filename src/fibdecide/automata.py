@@ -614,13 +614,12 @@ def cylindrify(a: Automaton, positions, new_arity: int) -> Automaton:
 # -- DFAO assembly -------------------------------------------------------
 
 
-def combine(parts, domain: Automaton | None = None) -> Automaton:
+def combine(parts, domain: Automaton) -> Automaton:
     """DFAO emitting the value of the accepting part, default 0 elsewhere.
 
     parts: sequence of (boolean Automaton, output value).  The part
-    languages must be pairwise disjoint; when `domain` is given,
-    disjointness is only required inside it and a shortest witness inside
-    the domain is reported on violation.
+    languages must be pairwise disjoint inside `domain`; a shortest
+    witness inside the domain is reported on violation.
     """
     parts = list(parts)
     if not parts:
@@ -637,14 +636,9 @@ def combine(parts, domain: Automaton | None = None) -> Automaton:
     )
     for i, (aut, _) in enumerate(parts[1:], start=1):
         mask = product(mask, aut, lambda x, y, i=i: x | (y << i))
-    dom = domain
-    if dom is not None:
-        mask = product(mask, dom, lambda x, y: x * 2 + y)
-        bits = mask.outputs // 2
-        in_dom = mask.outputs % 2 == 1
-    else:
-        bits = mask.outputs
-        in_dom = np.ones(mask.n_states, dtype=bool)
+    mask = product(mask, domain, lambda x, y: x * 2 + y)
+    bits = mask.outputs // 2
+    in_dom = mask.outputs % 2 == 1
     counts = np.zeros(mask.n_states, dtype=np.int32)
     for i in range(len(parts)):
         counts += (bits >> i) & 1
@@ -665,8 +659,8 @@ def combine(parts, domain: Automaton | None = None) -> Automaton:
 # -- enumeration ---------------------------------------------------------
 
 
-def sample_language(a: Automaton, limit: int, max_len: int = 64) -> list[str]:
-    """First `limit` accepted words in (length, symbol) order.
+def sample_language(a: Automaton, limit: int) -> list[str]:
+    """First `limit` accepted words of length at most 64, in (length, symbol) order.
 
     Words come back as digit strings for arity 1 and bracketed tuple text
     otherwise (empty word: '').
@@ -681,7 +675,7 @@ def sample_language(a: Automaton, limit: int, max_len: int = 64) -> list[str]:
     if a.outputs[a.initial] == 1:
         out.append(_word_text([], a.arity))
     depth = 0
-    while frontier and len(out) < limit and depth < max_len:
+    while frontier and len(out) < limit and depth < 64:
         depth += 1
         nxt = []
         for state, word in frontier:
@@ -996,6 +990,8 @@ def deserialize(text: str) -> Automaton:
             raise AutomatonError(f"line {lineno}: {exc}") from None
     if arity is None or n is None:
         raise AutomatonError("missing arity/states header")
+    if not (0 <= arity <= MAX_ARITY and n >= 1):
+        raise AutomatonError(f"arity {arity} or states {n} out of range")
     delta = np.full((n, 1 << arity), -1, dtype=np.int32)
     for q, symtext, t, lineno in trans:
         if not (0 <= q < n and 0 <= t < n):

@@ -50,7 +50,10 @@ class Store:
         p = self.path(name)
         if not p.exists():
             return None
-        aut = au.deserialize(p.read_text())
+        try:
+            aut = au.deserialize(p.read_text())
+        except au.AutomatonError as exc:
+            raise au.AutomatonError(f"{p}: {exc}; --rebuild rebuilds the store") from None
         if aut.is_boolean:
             return au.zero_normalize(aut)
         return au.minimize(aut)
@@ -99,20 +102,14 @@ def cmd_run(args) -> int:
         return 2
     catalog = _build_catalog(args)
     session = logic.Session(catalog)
-    any_false = False
-    try:
-        report = session.run_script(
-            path.read_text(),
-            on_result=lambda kind, name, value: print(
-                f"{name}: {'TRUE' if value else 'FALSE'}" if kind == "eval"
-                else f"{kind} {name}"
-            ),
-        )
-        any_false = not report.all_true
-    except (logic.ParseError, logic.CompileError, au.AutomatonError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 1 if any_false else 0
+    report = session.run_script(
+        path.read_text(),
+        on_result=lambda kind, name, value: print(
+            f"{name}: {'TRUE' if value else 'FALSE'}" if kind == "eval"
+            else f"{kind} {name}"
+        ),
+    )
+    return 0 if report.all_true else 1
 
 
 def cmd_repl(args) -> int:
@@ -237,7 +234,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (logic.ParseError, logic.CompileError, au.AutomatonError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -151,18 +151,18 @@ def is_zero(lr: LinRep) -> bool:
 # -- counting representations ---------------------------------------------------
 
 
-def counting_linrep(rel: Automaton, counted_track: int = 0, pad: int = 2) -> LinRep:
-    """Count accepted partners along one track of a binary relation.
+def counting_linrep(rel: Automaton) -> LinRep:
+    """Count accepted partners along the first track of a binary relation.
 
     States of `rel` index the coordinates; the matrix for reading digit d
-    on the kept track counts the transitions over the two digits of the
-    counted track; L and R are the initial/accepting indicators.  The
-    value on a word w is then the number of counted-track strings of
-    length |w| accepted together with w; since equal-length valid strings
-    represent each number exactly once, evaluating on a padded encode(n)
-    counts the n-occurrences.
+    on the kept (second) track counts the transitions over the two digits
+    of the counted (first) track; L and R are the initial/accepting
+    indicators.  The value on a word w is then the number of counted-track
+    strings of length |w| accepted together with w; since equal-length
+    valid strings represent each number exactly once, evaluating on a
+    padded encode(n) counts the n-occurrences.
 
-    The returned L absorbs `pad` leading zero digits (L * M0^pad), which
+    The returned L absorbs two leading zero digits (L * M0^2), which
     makes the value on encode(n) itself already the stable occurrence
     count: the padding widens the counted window beyond the largest
     possible partner, and extra explicit padding no longer changes the
@@ -171,14 +171,12 @@ def counting_linrep(rel: Automaton, counted_track: int = 0, pad: int = 2) -> Lin
     """
     if rel.arity != 2:
         raise au.ArityError("counting_linrep needs a binary relation")
-    if counted_track not in (0, 1):
-        raise ValueError("counted_track must be 0 or 1")
     n = rel.n_states
     mats = {}
     for d in (0, 1):
         m = [[0] * n for _ in range(n)]
         for e in (0, 1):
-            sym = (e << 1) | d if counted_track == 0 else (d << 1) | e
+            sym = (e << 1) | d
             for q in range(n):
                 m[q][int(rel.delta[q, sym])] += 1
         mats[d] = tuple(tuple(row) for row in m)
@@ -186,7 +184,7 @@ def counting_linrep(rel: Automaton, counted_track: int = 0, pad: int = 2) -> Lin
     left[rel.initial] = 1
     right = tuple(1 if rel.outputs[q] == 1 else 0 for q in range(n))
     unpadded = LinRep(tuple(left), mats, right)
-    for _ in range(pad):
+    for _ in range(2):
         left = unpadded.step(left, 0)
     return LinRep(tuple(left), mats, right)
 

@@ -52,7 +52,9 @@ __all__ = [
 
 class ParseError(ValueError):
     def __init__(self, message, line=None, col=None):
-        where = f" (line {line}, column {col})" if line is not None else ""
+        where = ""
+        if line is not None:
+            where = f" (line {line})" if col is None else f" (line {line}, column {col})"
         super().__init__(f"{message}{where}")
         self.line = line
         self.col = col
@@ -211,10 +213,9 @@ def _tokenize(src: str) -> list:
 
 
 class _Parser:
-    def __init__(self, toks, src=""):
+    def __init__(self, toks):
         self.toks = toks
         self.i = 0
-        self.src = src
 
     def peek(self) -> _Tok | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -383,7 +384,7 @@ class _Parser:
 
 
 def parse_formula(src: str) -> Formula:
-    parser = _Parser(_tokenize(src), src)
+    parser = _Parser(_tokenize(src))
     node = parser.formula()
     tok = parser.peek()
     if tok is not None:
@@ -454,6 +455,12 @@ def parse_script(src: str) -> list:
             j += 1
         return src[i:j], j
 
+    def read_name(i, command, line):
+        name, j = read_word(i)
+        if not name:
+            raise ParseError(f"{command} needs a name", line, None)
+        return name, j
+
     def read_quoted(i, line):
         if i >= n or src[i] != '"':
             raise ParseError("expected a quoted string", line, None)
@@ -476,13 +483,13 @@ def parse_script(src: str) -> list:
         i = j
         i, line = skip_space(i, line)
         if word in ("def", "eval"):
-            name, i = read_word(i)
+            name, i = read_name(i, word, cmd_line)
             i, line = skip_space(i, line)
             body, i, line = read_quoted(i, line)
             cls = DefCmd if word == "def" else EvalCmd
             cmds.append(cls(name, body, cmd_line))
         elif word == "reg":
-            name, i = read_word(i)
+            name, i = read_name(i, word, cmd_line)
             arity = 0
             while True:
                 i, line = skip_space(i, line)
@@ -497,7 +504,7 @@ def parse_script(src: str) -> list:
             pattern, i, line = read_quoted(i, line)
             cmds.append(RegCmd(name, arity, pattern, cmd_line))
         elif word == "combine":
-            name, i = read_word(i)
+            name, i = read_name(i, word, cmd_line)
             parts = []
             while True:
                 i, line = skip_space(i, line)
@@ -509,8 +516,9 @@ def parse_script(src: str) -> list:
                 i = j
                 if i < n and src[i] == "=":
                     i += 1
-                    num, j = read_word(i)
-                    i = j
+                    num, i = read_word(i)
+                    if not num.isdecimal():
+                        raise ParseError(f"combine part {w}= needs a number", line, None)
                     parts.append((w, int(num)))
                 else:
                     parts.append((w, 1))
@@ -752,13 +760,11 @@ class Compiler:
         return CompiledQuery(arith.linear(tuple(form[v] for v in names), k, op), names)
 
     def _oriented(self, rel: Automaton, names: tuple) -> CompiledQuery:
-        """Attach a relation's tracks to distinct named variables."""
+        """Attach a relation's tracks to distinct named variables; rel comes
+        zero-normalized from _value_dfa, and cylindrify and minimize keep it so."""
         order = tuple(sorted(names))
         positions = [order.index(v) for v in names]
-        aut = au.minimize(au.cylindrify(rel, positions, len(order)))
-        if not aut.zero_normalized:
-            aut = au.zero_normalize(aut)
-        return CompiledQuery(aut, order)
+        return CompiledQuery(au.minimize(au.cylindrify(rel, positions, len(order))), order)
 
     def _value_dfa(self, name: str, value: int) -> Automaton:
         """Where `name` outputs `value`: valid tracks only, zero-normalized and
@@ -837,7 +843,8 @@ class Session:
 
     Redefinition policy: defining a name again is allowed when the new
     automaton is equivalent to the stored one (scripts habitually restate
-    definitions); a genuinely different redefinition needs force=True.
+    definitions); a genuinely different redefinition needs
+    define(..., force=True).
     """
 
     def __init__(self, catalog=None):
@@ -863,8 +870,8 @@ class Session:
         f = source if isinstance(source, Formula) else parse_formula(source)
         return self.compiler.compile(f)
 
-    def define_automaton(self, name: str, aut: Automaton, force: bool = False):
-        self._store(name, aut, force)
+    def define_automaton(self, name: str, aut: Automaton):
+        self._store(name, aut, force=False)
         return aut
 
     def define(self, name: str, source, force: bool = False) -> Automaton:
@@ -904,7 +911,7 @@ class Session:
             parts = []
             for src_name, value in cmd.parts:
                 parts.append((self.automaton(src_name), value))
-            dfao = au.combine(parts, domain=arith.valid_tracks(parts[0][0].arity))
+            dfao = au.combine(parts, arith.valid_tracks(parts[0][0].arity))
             self._store(cmd.name, dfao, force=False)
             return ("combine", cmd.name, None)
         raise TypeError(cmd)

@@ -46,6 +46,12 @@ __all__ = [
 UNKNOWN = 2
 DEFAULT_SCHEDULE = (4096, 16384, 65536, 262144)
 
+# learner budgets: table states for guess_dfa and guess_synchronized, and
+# the replay rounds guess_synchronized spends repairing premature merges
+_DFA_MAX_STATES = 512
+_PAIR_MAX_STATES = 1024
+_REPLAY_ROUNDS = 24
+
 
 class SynthesisError(RuntimeError):
     pass
@@ -314,16 +320,7 @@ class _StringSource:
 # -- front ends ---------------------------------------------------------------
 
 
-def guess_dfa(
-    member,
-    arity: int,
-    bound: int,
-    *,
-    suffix_len: int = 6,
-    zero_run: int = 12,
-    tail_len: int = 1,
-    max_states: int = 512,
-) -> Automaton:
+def guess_dfa(member, arity: int, bound: int, *, suffix_len: int = 6) -> Automaton:
     """Minimal DFA consistent with all observations of `member` up to `bound`.
 
     States are residual classes of prefixes, discovered breadth-first and
@@ -331,25 +328,15 @@ def guess_dfa(
     """
     if arity > 2:
         suffix_len = min(suffix_len, 3)
-    suffixes = _suffix_words(1 << arity, suffix_len, zero_run, tail_len)
+    suffixes = _suffix_words(1 << arity, suffix_len, zero_run=12, tail_len=1)
     suffixes = [e for e in suffixes if len(e) <= bound]
     src = _StringSource(member, arity, suffixes, bound)
     max_depth = max(bound - suffix_len, 2)
-    table = ObservationTable(src, max_states, max_depth)
+    table = ObservationTable(src, _DFA_MAX_STATES, max_depth)
     return au.minimize(table.hypothesis())
 
 
-def guess_synchronized(
-    oracle,
-    n_samples: int,
-    *,
-    suffix_len: int = 4,
-    zero_run: int = 16,
-    tail_len: int = 2,
-    max_states: int = 1024,
-    max_depth: int | None = None,
-    replay_rounds: int = 24,
-) -> Automaton:
+def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automaton:
     """Learn the relation {(n, x) : x = oracle(n)} from samples n < n_samples.
 
     Oracles with cheap scalar evaluation are observed exactly at any
@@ -362,9 +349,8 @@ def guess_synchronized(
     """
     from . import arith
 
-    if max_depth is None:
-        max_depth = len(nu.encode(max(n_samples, 2))) + 8
-    words = _suffix_words(4, suffix_len, zero_run, tail_len)
+    max_depth = len(nu.encode(max(n_samples, 2))) + 8
+    words = _suffix_words(4, 4, zero_run, tail_len=2)
     batch = oracle.batch if getattr(oracle, "cheap_scalar", False) else None
     table_vals = None
     if batch is None:
@@ -374,9 +360,9 @@ def guess_synchronized(
     want = oracle.table(probe)
     sfx = _SuffixData(words)
     seen = set(words)
-    for _ in range(replay_rounds):
+    for _ in range(_REPLAY_ROUNDS):
         src = _PairSource(sfx, table=table_vals, batch=batch)
-        table = ObservationTable(src, max_states, max_depth)
+        table = ObservationTable(src, _PAIR_MAX_STATES, max_depth)
         raw = table.hypothesis()
         cand = au.zero_normalize(
             au.minimize(au.intersect(raw, arith.valid_tracks(2)))
@@ -395,7 +381,7 @@ def guess_synchronized(
             )
         seen.update(fresh)
         sfx.extend(fresh)
-    raise BoundExhausted(f"replay did not stabilize within {replay_rounds} rounds")
+    raise BoundExhausted(f"replay did not stabilize within {_REPLAY_ROUNDS} rounds")
 
 
 # -- certification -------------------------------------------------------------
@@ -480,7 +466,7 @@ _ADJ_FIB = '[0,0]*[0,1][1,0][0,0]*'
 _ADJ_LUCAS = '[0,0]*[0,1][1,0][0,1][1,0][0,0]*'
 
 
-def recurrence_certificate(kind: str, x: int = 1, y: int = 1, base_checks=None):
+def recurrence_certificate(kind: str, x: int = 1, y: int = 1):
     """Certificate that a candidate relation satisfies its defining recurrence.
 
     kind 'fib': a(k) = x*F(j+1) - y*a(k - F(j)) on Fibonacci brackets;
@@ -511,7 +497,7 @@ def recurrence_certificate(kind: str, x: int = 1, y: int = 1, base_checks=None):
                     f" & ${c}(t,u)) => y=z+u"
                 )
             checks.append(("recurrence", session.eval(rec)))
-            bases = base_checks if base_checks is not None else [(0, 0), (1, 1)]
+            bases = [(0, 0), (1, 1)]
         else:
             session.define_automaton("adjbracket", au.regex_compile(_ADJ_LUCAS, 2))
             session.define("trapbracket", "$adjbracket(x,y) & x<k & y>=k")
@@ -520,10 +506,7 @@ def recurrence_certificate(kind: str, x: int = 1, y: int = 1, base_checks=None):
                 f" => y=z+t"
             )
             checks.append(("recurrence", session.eval(rec)))
-            if base_checks is not None:
-                bases = base_checks
-            else:
-                bases = [(k, seqs.lucas_variant(k)) for k in range(5)]
+            bases = [(k, seqs.lucas_variant(k)) for k in range(5)]
         for n, v in bases:
             checks.append((f"base_{n}", session.eval(f"${c}({n},{v})")))
         return Verdict(all(g for _, g in checks), checks)
@@ -541,23 +524,17 @@ def synthesize_certified(
     *,
     schedule=DEFAULT_SCHEDULE,
     catalog=None,
-    learn_kwargs=None,
-    post_check=None,
 ) -> SynthesisReport:
     """Loop guess -> certify over an escalating sample schedule."""
     oracle_name = getattr(oracle, "name", "?")
-    learn_kwargs = dict(learn_kwargs or {})
     last_checks = []
     last_detail = ""
     last_n = 0
     for i, n in enumerate(schedule):
         last_n = n
-        kw = dict(learn_kwargs)
-        # widen the distinguishing battery along with the data
-        kw.setdefault("zero_run", 16 + 4 * i)
-        kw.setdefault("suffix_len", 4)
         try:
-            candidate = guess_synchronized(oracle, n, **kw)
+            # widen the distinguishing battery along with the data
+            candidate = guess_synchronized(oracle, n, zero_run=16 + 4 * i)
         except SynthesisError as exc:
             last_detail = f"learning failed at {n} samples: {exc}"
             last_checks = []
@@ -576,10 +553,6 @@ def synthesize_certified(
             if not verdict.ok:
                 ok = False
                 break
-        if ok and post_check is not None:
-            name, good = post_check(candidate)
-            checks.append((name, good))
-            ok = good
         if ok:
             return SynthesisReport(oracle_name, candidate, n, "CERTIFIED", checks)
         last_checks = checks

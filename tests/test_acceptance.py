@@ -29,8 +29,6 @@ from fibdecide import seqs
 def reproduction():
     run = rp.Reproduction(
         schedule=(16384, 65536, 262144),
-        verify_bound=100_000,
-        phin_verify=1 << 20,
         seed=20240901,
     )
     return run, run.run()

@@ -121,7 +121,7 @@ def test_swap_tracks():
 
 def test_combine_examples(catalog):
     universal = arith.valid()
-    const7 = au.combine([(universal, 7)])
+    const7 = au.combine([(universal, 7)], domain=arith.valid())
     assert const7.value_at(0) == 7 and const7.value_at(100) == 7
     with pytest.raises(au.AutomatonError, match="witness"):
         au.combine([(universal, 1), (universal, 2)], domain=arith.valid())
@@ -193,6 +193,9 @@ def test_deserialize_errors():
         au.deserialize("fibaut 1\narity 1\nstates 2\ninitial 0\naccepting 0\ntrans 0 [0] 5\ntrans 0 [1] 0\ntrans 1 [0] 0\ntrans 1 [1] 0\n")
     with pytest.raises(au.AutomatonError):
         au.deserialize("not an automaton")
+    for header in ("arity 1\nstates -1", "arity 99\nstates 1"):
+        with pytest.raises(au.AutomatonError, match="out of range"):
+            au.deserialize(f"fibaut 1\n{header}\n")
 
 
 def test_export_dot_structure():

@@ -75,6 +75,28 @@ def test_run_script_unknown_name_exit_two(tmp_path, warm_store, capsys):
     assert "nosuch" in capsys.readouterr().err
 
 
+def test_malformed_combine_exit_two(tmp_path, warm_store, capsys):
+    script = tmp_path / "err.txt"
+    script.write_text("combine C s1=\n")
+    assert run_cli(["run", str(script)], warm_store) == 2
+    assert capsys.readouterr().err == "error: combine part s1= needs a number (line 1)\n"
+
+
+def test_corrupt_store_file_exit_two(tmp_path, catalog, capsys):
+    """A truncated .aut file is a one-line error naming the file, not a traceback."""
+    store = cli.Store(tmp_path / "s")
+    store.save_catalog(catalog)
+    path = store.path("phin")
+    path.write_text(path.read_text()[:40])
+    script = tmp_path / "ok.txt"
+    script.write_text('eval t "?msd_fib Ax x=x":\n')
+    for args in (["run", str(script)], ["export-dot", "phin", str(tmp_path / "p.dot")]):
+        assert run_cli(args, store.root) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "--rebuild" in err
+        assert len(err.splitlines()) == 1
+
+
 def test_run_missing_script(warm_store, capsys):
     code = run_cli(["run", "/nonexistent/script.txt"], warm_store)
     assert code == 2

@@ -76,6 +76,17 @@ def test_script_unknown_command():
         logic.parse_script("frobnicate x:")
 
 
+@pytest.mark.parametrize("script, message", [
+    ("combine C s1= s2=2:", r"combine part s1= needs a number \(line 1\)$"),
+    ('def "?msd_fib x=1":', r"def needs a name \(line 1\)$"),
+    ('eval "?msd_fib Ax x=x":', r"eval needs a name \(line 1\)$"),
+    ('def ok "x=1":\nfrobnicate x:', r"unknown command 'frobnicate' \(line 2\)$"),
+], ids=["combine-without-number", "def-without-name", "eval-without-name", "line-without-column"])
+def test_malformed_script_commands_raise_parse_errors(script, message):
+    with pytest.raises(logic.ParseError, match=message):
+        logic.parse_script(script)
+
+
 def test_eval_examples(session):
     assert session.eval("Ax x=x")
     assert not session.eval("Ex x=x+1")
@@ -385,13 +396,16 @@ def test_forced_redefinition_reaches_the_compiler(session):
 
 
 def test_oriented_zero_normalizes_an_unflagged_relation():
-    """A relation accepting (1, 0) only as the unpadded word [1,0]: the
-    compiled atom must accept it padded too, not just carry the flag."""
+    """A relation accepting (1, 0) only as the unpadded word [1,0], applied
+    by name: the compiled atom must accept it padded too, not just carry
+    the flag."""
     delta = np.full((3, 4), 2, dtype=np.int32)
     delta[0, 0b10] = 1
     outputs = np.array([0, 1, 0], dtype=np.int32)
     rel = au.Automaton(2, delta, outputs, 0)
-    q = logic.Compiler(lambda name: None)._oriented(rel, ("y", "x"))
+    session = logic.Session()
+    session.define_automaton("r", rel)
+    q = session.compile("$r(y,x)")
     assert q.variables == ("x", "y") and q.aut.zero_normalized
     assert q.aut.accepts("[0,1]") and q.aut.accepts("[0,0][0,0][0,1]")
     assert not q.aut.accepts("[1,0]")

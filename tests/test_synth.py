@@ -25,17 +25,18 @@ def test_guess_dfa_even_numbers():
     member = lambda w: ("11" not in "".join(map(str, w))) and (
         nu.decode("".join(map(str, w))) % 2 == 0
     )
-    learned = synth.guess_dfa(member, 1, bound=14, zero_run=14)
+    learned = synth.guess_dfa(member, 1, bound=14)
     ns = np.arange(2000)
     got = arith.accepts_number_pairs(au.zero_normalize(learned), ns)
     assert np.array_equal(got, ns % 2 == 0)
 
 
-def test_guess_dfa_budget_exhaustion():
+def test_guess_dfa_budget_exhaustion(monkeypatch):
     # membership depends on exact length: no finite automaton fits in 3 states
     member = lambda w: len(w) in (5, 9, 13, 17)
+    monkeypatch.setattr(synth, "_DFA_MAX_STATES", 3)
     with pytest.raises(synth.SynthesisError):
-        synth.guess_dfa(member, 1, bound=18, max_states=3)
+        synth.guess_dfa(member, 1, bound=18)
 
 
 def test_guess_synchronized_identity():
@@ -91,14 +92,15 @@ def test_synthesize_certified_reports(catalog):
     assert "CERTIFIED" in text and "fibaut 1" in text
 
 
-def test_synthesize_exhaustion_on_hard_case(catalog):
+def test_synthesize_exhaustion_on_hard_case(catalog, monkeypatch):
+    monkeypatch.setattr(synth, "_PAIR_MAX_STATES", 300)
+    monkeypatch.setattr(synth, "_REPLAY_ROUNDS", 5)
     report = synth.synthesize_certified(
         seqs.oracle("axy_3_2"),
         [synth.function_certificate("fn"),
          synth.recurrence_certificate("fib", x=3, y=2)],
         schedule=(1024, 2048),
         catalog=catalog,
-        learn_kwargs=dict(max_states=300, replay_rounds=5),
     )
     assert report.verdict == "EXHAUSTED"
     assert report.detail
