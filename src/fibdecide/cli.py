@@ -174,6 +174,9 @@ def cmd_oracle_table(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.count < 0:
+        print(f"error: count must be at least 0, got {args.count}", file=sys.stderr)
+        return 2
     vals = orc.table(args.count)
     for n, v in enumerate(vals):
         print(f"{n}\t{int(v)}")

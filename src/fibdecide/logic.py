@@ -161,12 +161,14 @@ def free_vars(f: Formula) -> set:
 
 # -- tokenizer ----------------------------------------------------------------
 
+# A quantifier letter is a token of its own, also when glued to its first
+# variable (`Ex`); space and the ignored header are unnamed, so not tokens.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<msd>\?msd_fib\b)
+    \s+ | \?msd_fib\b
   | (?P<num>\d+)
   | (?P<dollar>\$[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<quant>[AE])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=>|=>|!=|<=|>=|[&|~=<>+\-*/(),\[\]@])
     """,
@@ -182,30 +184,23 @@ class _Tok:
     col: int
 
 
-def _tokenize(src: str) -> list:
+def _scan(pattern, src: str, line: int, col: int) -> list:
+    """One token per named-group match of pattern, with its line and column;
+    unnamed matches are dropped.  src starts at (line, col) of its script."""
     toks = []
-    line, col = 1, 1
     pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind == "ident" and text[0] in "AE":
-            # quantifier keyword, possibly glued to its first variable
-            toks.append(_Tok("quant", text[0], line, col))
-            if len(text) > 1:
-                toks.append(_Tok("ident", text[1:], line, col + 1))
-        elif kind not in ("ws", "msd"):
-            toks.append(_Tok(kind, text, line, col))
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
+    for m in pattern.finditer(src):
+        if m.start() != pos:
+            break
+        text = m.group()
+        if m.lastgroup:
+            toks.append(_Tok(m.lastgroup, text, line, col))
+        breaks = text.count("\n")
+        line += breaks
+        col = len(text) - text.rfind("\n") if breaks else col + len(text)
         pos = m.end()
+    if pos < len(src):
+        raise ParseError(f"unexpected character {src[pos]!r}", line, col)
     return toks
 
 
@@ -383,8 +378,10 @@ class _Parser:
         raise ParseError(f"unexpected {tok.text!r} in term", tok.line, tok.col)
 
 
-def parse_formula(src: str) -> Formula:
-    parser = _Parser(_tokenize(src))
+def parse_formula(src: str, line: int = 1, col: int = 1) -> Formula:
+    """The formula src; (line, col) is where src starts in its script, and
+    errors give their position there."""
+    parser = _Parser(_scan(_TOKEN_RE, src, line, col))
     node = parser.formula()
     tok = parser.peek()
     if tok is not None:
@@ -400,6 +397,7 @@ class DefCmd:
     name: str
     body: str
     line: int
+    body_pos: tuple  # (line, column) of the body's first character
 
 
 @dataclass
@@ -407,6 +405,7 @@ class EvalCmd:
     name: str
     body: str
     line: int
+    body_pos: tuple
 
 
 @dataclass
@@ -424,114 +423,79 @@ class CombineCmd:
     line: int
 
 
+# Space, comments and `:` are unnamed, so not tokens.  A `value` is the
+# `=n` glued to a combine part; a `"` that no later `"` closes is `bad`.
+_SCRIPT_RE = re.compile(
+    r"""
+    \s+ | \#[^\n]* | :
+  | (?P<quoted>"[^"]*")
+  | (?P<word>[\w?]+)
+  | (?P<value>(?<=[\w?])=[\w?]*)
+  | (?P<end>\Z)
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+_COMMANDS = ("def", "eval", "reg", "combine")
+
+
 def parse_script(src: str) -> list:
     """Split a script into def/eval/reg/combine commands.
 
     Quoted strings may span lines; `#` starts a comment outside quotes;
-    a trailing `:` after each command is accepted.
+    a trailing `:` after each command is accepted.  A combine's parts end
+    with its line or at the next command word.  Bodies are parsed when
+    their command runs.
     """
+    toks = _scan(_SCRIPT_RE, src, 1, 1)
     cmds = []
     i = 0
-    n = len(src)
-    line = 1
 
-    def skip_space(i, line):
-        while i < n:
-            if src[i] == "#":
-                while i < n and src[i] != "\n":
-                    i += 1
-            elif src[i] == "\n":
-                line += 1
+    def quoted(tok):
+        if tok.kind == "quoted":
+            return tok.text[1:-1]
+        raise ParseError(
+            "unterminated string" if tok.text == '"' else "expected a quoted string", tok.line
+        )
+
+    while toks[i].kind != "end":
+        cmd, name = toks[i], toks[i + 1]
+        if cmd.kind != "word":
+            raise ParseError(f"unexpected character {cmd.text[0]!r}", cmd.line)
+        if cmd.text not in _COMMANDS:
+            raise ParseError(f"unknown command {cmd.text!r}", cmd.line)
+        if name.kind != "word":
+            raise ParseError(f"{cmd.text} needs a name", cmd.line)
+        i += 2
+        if cmd.text in ("def", "eval"):
+            body = toks[i]
+            i += 1
+            cls = DefCmd if cmd.text == "def" else EvalCmd
+            cmds.append(cls(name.text, quoted(body), cmd.line, (body.line, body.col + 1)))
+        elif cmd.text == "reg":
+            first = i
+            while toks[i].text == "msd_fib":
                 i += 1
-            elif src[i].isspace() or src[i] == ":":
-                i += 1
-            else:
-                break
-        return i, line
-
-    def read_word(i):
-        j = i
-        while j < n and (src[j].isalnum() or src[j] in "_?"):
-            j += 1
-        return src[i:j], j
-
-    def read_name(i, command, line):
-        name, j = read_word(i)
-        if not name:
-            raise ParseError(f"{command} needs a name", line, None)
-        return name, j
-
-    def read_quoted(i, line):
-        if i >= n or src[i] != '"':
-            raise ParseError("expected a quoted string", line, None)
-        j = i + 1
-        start_line = line
-        while j < n and src[j] != '"':
-            if src[j] == "\n":
-                line += 1
-            j += 1
-        if j >= n:
-            raise ParseError("unterminated string", start_line, None)
-        return src[i + 1 : j], j + 1, line
-
-    while True:
-        i, line = skip_space(i, line)
-        if i >= n:
-            break
-        word, j = read_word(i)
-        cmd_line = line
-        i = j
-        i, line = skip_space(i, line)
-        if word in ("def", "eval"):
-            name, i = read_name(i, word, cmd_line)
-            i, line = skip_space(i, line)
-            body, i, line = read_quoted(i, line)
-            cls = DefCmd if word == "def" else EvalCmd
-            cmds.append(cls(name, body, cmd_line))
-        elif word == "reg":
-            name, i = read_name(i, word, cmd_line)
-            arity = 0
-            while True:
-                i, line = skip_space(i, line)
-                w, j = read_word(i)
-                if w == "msd_fib":
-                    arity += 1
-                    i = j
-                else:
-                    break
-            if arity == 0:
-                raise ParseError("reg needs at least one msd_fib track", cmd_line, None)
-            pattern, i, line = read_quoted(i, line)
-            cmds.append(RegCmd(name, arity, pattern, cmd_line))
-        elif word == "combine":
-            name, i = read_name(i, word, cmd_line)
-            parts = []
-            while True:
-                i, line = skip_space(i, line)
-                if i >= n or src[i] == "\n":
-                    break
-                w, j = read_word(i)
-                if not w:
-                    break
-                i = j
-                if i < n and src[i] == "=":
-                    i += 1
-                    num, i = read_word(i)
-                    if not num.isdecimal():
-                        raise ParseError(f"combine part {w}= needs a number", line, None)
-                    parts.append((w, int(num)))
-                else:
-                    parts.append((w, 1))
-                nxt, _ = read_word(skip_space(i, line)[0])
-                if nxt in ("def", "eval", "reg", "combine"):
-                    break
-            if not parts:
-                raise ParseError("combine needs at least one part", cmd_line, None)
-            cmds.append(CombineCmd(name, parts, cmd_line))
-        elif word:
-            raise ParseError(f"unknown command {word!r}", cmd_line, None)
+            if i == first:
+                raise ParseError("reg needs at least one msd_fib track", cmd.line)
+            cmds.append(RegCmd(name.text, i - first, quoted(toks[i]), cmd.line))
+            i += 1
         else:
-            raise ParseError(f"unexpected character {src[i]!r}", line, None)
+            parts = []
+            while (toks[i].kind == "word" and toks[i].line == cmd.line
+                   and toks[i].text not in _COMMANDS):
+                part, value = toks[i].text, "=1"
+                if toks[i + 1].kind == "value":
+                    i += 1
+                    value = toks[i].text
+                if not value[1:].isdecimal():
+                    raise ParseError(f"combine part {part}= needs a number", toks[i].line)
+                parts.append((part, int(value[1:])))
+                i += 1
+            if not parts:
+                raise ParseError("combine needs at least one part", cmd.line)
+            cmds.append(CombineCmd(name.text, parts, cmd.line))
     return cmds
 
 
@@ -841,10 +805,10 @@ class ScriptReport:
 class Session:
     """A catalog of named automata plus the compiler working over it.
 
-    Redefinition policy: defining a name again is allowed when the new
-    automaton is equivalent to the stored one (scripts habitually restate
-    definitions); a genuinely different redefinition needs
-    define(..., force=True).
+    Redefinition policy, for catalog names too: defining a name again is
+    allowed when the new automaton is equivalent to the stored one (scripts
+    habitually restate definitions); a genuinely different redefinition
+    needs define(..., force=True).
     """
 
     def __init__(self, catalog=None):
@@ -880,8 +844,8 @@ class Session:
         return q.aut
 
     def _store(self, name, aut, force):
-        if not force and name in self.defs:
-            old = self.defs[name]
+        if not force and (name in self.defs or name in self.catalog):
+            old = self._lookup(name)
             if old.arity == aut.arity and au.equivalent(old, aut):
                 return
             raise CompileError(
@@ -899,10 +863,10 @@ class Session:
 
     def run_command(self, cmd):
         if isinstance(cmd, DefCmd):
-            self.define(cmd.name, cmd.body)
+            self.define(cmd.name, parse_formula(cmd.body, *cmd.body_pos))
             return ("def", cmd.name, None)
         if isinstance(cmd, EvalCmd):
-            return ("eval", cmd.name, self.eval(cmd.body))
+            return ("eval", cmd.name, self.eval(parse_formula(cmd.body, *cmd.body_pos)))
         if isinstance(cmd, RegCmd):
             aut = au.regex_compile(cmd.pattern, cmd.arity)
             self._store(cmd.name, aut, force=False)

@@ -494,22 +494,19 @@ class Reproduction:
                 u = "".join("bd"[(bits >> i) & 1] for i in range(size))
                 if linrep.carlitz_C(u) != linrep.evaluate(lr, u):
                     return False, f"recursion != representation at {u}"
-        for size in range(0, 9):
+        c = linrep.carlitz_C
+        for size in range(1, 9):
             for bits in range(1 << size):
                 v = "".join("bd"[(bits >> i) & 1] for i in range(size))
-                c = linrep.carlitz_C
-                base = c(v) if v else 0
-                cvb = c(v + "b") if v else 0
-                cvd = c(v + "d") if v else 1
-                if v:
-                    checks = [
-                        c(v + "bb") == base + cvb + cvd,
-                        c(v + "bd") == cvd,
-                        c(v + "db") == cvb + 2 * cvd,
-                        c(v + "dd") == base + cvb + cvd,
-                    ]
-                    if not all(checks):
-                        return False, f"derived relation fails at v={v}"
+                base, cvb, cvd = c(v), c(v + "b"), c(v + "d")
+                checks = [
+                    c(v + "bb") == base + cvb + cvd,
+                    c(v + "bd") == cvd,
+                    c(v + "db") == cvb + 2 * cvd,
+                    c(v + "dd") == base + cvb + cvd,
+                ]
+                if not all(checks):
+                    return False, f"derived relation fails at v={v}"
         return True, "recursion = representation to |u|=10; relations to |v|=8"
 
     def _c11_main(self):

@@ -121,6 +121,12 @@ def test_oracle_table_unknown(warm_store, capsys):
     assert code == 2
 
 
+def test_oracle_table_negative_count_is_a_usage_error(warm_store, capsys):
+    assert run_cli(["oracle-table", "a105774", "--", "-5"], warm_store) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: count must be at least 0, got -5\n"
+
+
 def test_export_dot(tmp_path, warm_store):
     out = tmp_path / "eq.dot"
     code = run_cli(["export-dot", "eq", str(out)], warm_store)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -46,6 +47,9 @@ def test_parse_error_reports_position():
         logic.parse_formula("En, x")  # missing body
     with pytest.raises(logic.ParseError):
         logic.parse_formula("_bad = 1")
+    # a quantifier letter is its own token, so it cannot bind the number 12
+    with pytest.raises(logic.ParseError, match=r"got '12' \(line 1, column 2\)"):
+        logic.parse_formula("A12 x=x")
 
 
 def test_parse_dfao_test():
@@ -71,6 +75,118 @@ def test_script_parser_multiline_and_comments():
     assert cmds[3].parts == [("s1", 1), ("s2", 2), ("s0", 0)]
 
 
+# Every command of the paper script: line, class, name, and a digest of its
+# body (def, eval), (arity, pattern) (reg) or parts (combine).
+SCRIPT_COMMANDS = """
+  3 EvalCmd    check_at_least_one 809da1502f7f
+  4 EvalCmd    check_at_most_one  53b1e1088d3d
+  6 RegCmd     adjfib             4f5f8c6d1c31
+  7 DefCmd     trapfib            96f50011b780
+  8 EvalCmd    test105774         bbc7ba7c01c0
+ 10 EvalCmd    test012            581f8eb1bb1e
+ 14 DefCmd     s0                 9779ed6edd37
+ 15 DefCmd     s2                 b52941eb12fb
+ 16 DefCmd     s1                 d06f87407aae
+ 17 CombineCmd C                  9413827c8914
+ 18 EvalCmd    twice_consec       71b4b98a730b
+ 22 EvalCmd    chek1a             38a4fb124214
+ 23 EvalCmd    chek2a             921261e4ff98
+ 24 EvalCmd    chek0b             c789e058dbfc
+ 25 EvalCmd    chek1b             30c6e255ed78
+ 26 EvalCmd    chek2b             e32d52aeffda
+ 27 DefCmd     a007067            b06afbc4b2f3
+ 28 DefCmd     a007064            8da6fa3343d1
+ 29 EvalCmd    check_two          87c127834f0a
+ 30 EvalCmd    checkp2            67d62eb3b051
+ 31 DefCmd     a035487            306a111a0b66
+ 32 EvalCmd    checkp1            e69642141a2f
+ 33 DefCmd     a004937            11ab632b770a
+ 34 EvalCmd    chk0               1d89489adfad
+ 37 EvalCmd    lowerbound         00a5e171b7b0
+ 38 EvalCmd    upperbound         4f528077d757
+ 39 RegCmd     lucfib             cb736bd87f77
+ 40 EvalCmd    chklow             2841b9c7984c
+ 41 EvalCmd    chkup              7011395f3c29
+ 44 DefCmd     suffmin            b4c8aaebcb4e
+ 45 EvalCmd    suffmin_regex      079ea4c2e625
+ 48 EvalCmd    twoconsec          e36a84be61bb
+ 50 EvalCmd    differ             dd88780130e9
+ 52 DefCmd     a003623            924711af3bf8
+ 53 EvalCmd    isolated           a735d363c25e
+ 58 EvalCmd    ascending          1c513e408b4d
+ 59 DefCmd     diff               589912c4b972
+ 60 EvalCmd    checkdiff          41ab4741fa60
+ 61 EvalCmd    cd0                dfefc0a42dfe
+ 62 EvalCmd    cd1                5d21795b9c81
+ 63 EvalCmd    cd1                960497c6e1ab
+ 66 RegCmd     isfib              8fb483e93d07
+ 67 DefCmd     special            8bb3f391d557
+ 68 RegCmd     four               fbc06e650173
+ 70 EvalCmd    partb              4e28dfddfc8a
+ 72 EvalCmd    minval             b7c16ae4abb6
+ 74 EvalCmd    maxval             cc4d1526ffc2
+ 78 DefCmd     even               843edface2d6
+ 79 EvalCmd    checkparity        cffd1509f36a
+ 83 EvalCmd    checkap1           ff311dcf1440
+ 84 EvalCmd    checkap2           082edce9d616
+ 85 EvalCmd    check_distinct1    f9715f7e0775
+ 86 EvalCmd    check_distinct2    822ff6847287
+ 88 DefCmd     first_occ          09fcd66ce348
+ 89 EvalCmd    check_distinct3    03a952e7628f
+ 93 DefCmd     nthrun2            ca0e903929c7
+ 95 EvalCmd    compare_fib        f7c434098dcd
+ 98 DefCmd     trapfib2           8b3bd391b198
+ 99 DefCmd     wseq               2ab9a8efc4f2
+101 EvalCmd    propw              3e0392f309f6
+105 DefCmd     fixed              59051e110400
+106 EvalCmd    fixed_regex        e11dabc7491e
+109 RegCmd     even1              9e4e32bac3dd
+110 DefCmd     ab                 38dbd73db4a7
+111 DefCmd     ba                 c67961fd43bd
+112 EvalCmd    test               0cffc66ffa47
+113 DefCmd     xx                 436ae81be2c2
+114 EvalCmd    test1              a90473ce15ef
+115 DefCmd     aba                ee7f6e236129
+116 DefCmd     bab                65505419d19f
+117 EvalCmd    test3              c6272a37f584
+118 DefCmd     aab                e9b36467303d
+119 EvalCmd    test4              38b276db7f7a
+120 DefCmd     ca                 8bae30a6d1a4
+121 DefCmd     dp                 730b45edb76e
+122 EvalCmd    test1              6c888f5c8525
+123 EvalCmd    test2              6de717cba11e
+124 DefCmd     cab                7f79c2df0b00
+125 DefCmd     abb                7a0a64446ba2
+126 EvalCmd    test3              52657782e60c
+130 EvalCmd    checka             9dc11131422b
+132 EvalCmd    checkb             4ea0f48abc45
+134 EvalCmd    checkc             2c5cd81382f3
+136 DefCmd     ad                 d125af67182a
+137 DefCmd     abd                e3d635cb05c6
+138 EvalCmd    checkd             79e5b3670647
+139 EvalCmd    checke             587416dce890
+"""
+
+
+def _payload(cmd):
+    if isinstance(cmd, logic.RegCmd):
+        return (cmd.arity, cmd.pattern)
+    if isinstance(cmd, logic.CombineCmd):
+        return tuple(cmd.parts)
+    return cmd.body
+
+
+def test_paper_script_parses_to_pinned_commands():
+    from fibdecide import reproduce as rp
+
+    got = [
+        f"{c.line:3d} {type(c).__name__:10s} {c.name:18s} "
+        + hashlib.sha256(repr(_payload(c)).encode()).hexdigest()[:12]
+        for c in logic.parse_script(rp.SCRIPT)
+    ]
+    assert got == SCRIPT_COMMANDS.strip("\n").splitlines()
+
+
 def test_script_unknown_command():
     with pytest.raises(logic.ParseError, match="unknown command"):
         logic.parse_script("frobnicate x:")
@@ -81,10 +197,23 @@ def test_script_unknown_command():
     ('def "?msd_fib x=1":', r"def needs a name \(line 1\)$"),
     ('eval "?msd_fib Ax x=x":', r"eval needs a name \(line 1\)$"),
     ('def ok "x=1":\nfrobnicate x:', r"unknown command 'frobnicate' \(line 2\)$"),
-], ids=["combine-without-number", "def-without-name", "eval-without-name", "line-without-column"])
+    ("combine C s1=1\nfrobnicate x:", r"unknown command 'frobnicate' \(line 2\)$"),
+    ('def a "x=1":\n\ndef b "x &":', r"got '&' \(line 3, column 10\)$"),
+    ('def a "x=1":\neval e "Ax x=x\n   & !":', r"unexpected character '!' \(line 3, column 6\)$"),
+    ('def a "x=1":\n\neval x "abc\n', r"unterminated string \(line 3\)$"),
+    ('reg r "0*":', r"reg needs at least one msd_fib track \(line 1\)$"),
+    ("combine C:\n", r"combine needs at least one part \(line 1\)$"),
+], ids=[
+    "combine-without-number", "def-without-name", "eval-without-name", "line-without-column",
+    "combine-ends-with-its-line", "body-error-at-script-position",
+    "body-error-on-a-later-body-line", "unterminated-string", "reg-without-tracks",
+    "combine-without-parts",
+])
 def test_malformed_script_commands_raise_parse_errors(script, message):
+    """Every command parses before any runs; a body parses when its command
+    runs, and its errors name their line and column in the script."""
     with pytest.raises(logic.ParseError, match=message):
-        logic.parse_script(script)
+        logic.Session({}).run_script(script)
 
 
 def test_eval_examples(session):
@@ -184,6 +313,18 @@ def test_define_redefinition_policy(session):
     with pytest.raises(logic.CompileError, match="force"):
         session.define("thing", "n<6")
     session.define("thing", "n<6", force=True)
+
+
+def test_scripts_keep_the_meaning_of_catalog_names(session, catalog):
+    """A catalog name may be restated equivalently, not replaced."""
+    for script in ('def phin "x=y":', 'reg F msd_fib "0*":', 'eval e "Ax x=x":\ndef phin "x=y":'):
+        with pytest.raises(logic.CompileError, match="'(phin|F)' is already defined differently"):
+            session.run_script(script)
+    assert not session.eval("Ax $phin(x,x)") and session.eval("F[1]=@1")
+    session.run_script('def a007067 "?msd_fib Ex $phin(2*n,x) & z=(x+1)/2":')
+    assert session.automaton("a007067") is catalog["a007067"]
+    session.define("phin", "x=y", force=True)
+    assert session.eval("Ax $phin(x,x)")
 
 
 def test_define_automaton_and_listing(session):
