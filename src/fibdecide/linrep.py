@@ -248,20 +248,20 @@ def carlitz_C(u: str) -> int:
 
     C(b) = 0 and C(d) = 1; for longer words with i letters b and j letters
     d (counted over the whole current word), C(vb) = F(i+2j-1) + C(v) and
-    C(vd) = F(i+2j-1) - C(v).
+    C(vd) = F(i+2j-1) - C(v).  Computed in one pass from the left, carrying
+    the weight i + 2j of the prefix read so far.
     """
-    if not u or any(ch not in "bd" for ch in u):
+    if not u or u.strip("bd"):
         raise ValueError("need a nonempty word over {b, d}")
-    if u == "b":
-        return 0
-    if u == "d":
-        return 1
-    i = u.count("b")
-    j = u.count("d")
-    v, last = u[:-1], u[-1]
-    if last == "b":
-        return nu.fib(i + 2 * j - 1) + carlitz_C(v)
-    return nu.fib(i + 2 * j - 1) - carlitz_C(v)
+    c, weight = (0, 1) if u[0] == "b" else (1, 2)
+    for ch in u[1:]:
+        if ch == "b":
+            weight += 1
+            c = nu.fib(weight - 1) + c
+        else:
+            weight += 2
+            c = nu.fib(weight - 1) - c
+    return c
 
 
 def carlitz_linrep() -> LinRep:

@@ -163,6 +163,8 @@ def free_vars(f: Formula) -> set:
 
 # A quantifier letter is a token of its own, also when glued to its first
 # variable (`Ex`); space and the ignored header are unnamed, so not tokens.
+# Every formula ends with an `end` token, so running out of input has a
+# position too.
 _TOKEN_RE = re.compile(
     r"""
     \s+ | \?msd_fib\b
@@ -171,6 +173,7 @@ _TOKEN_RE = re.compile(
   | (?P<quant>[AE])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=>|=>|!=|<=|>=|[&|~=<>+\-*/(),\[\]@])
+  | (?P<end>\Z)
     """,
     re.VERBOSE,
 )
@@ -182,6 +185,10 @@ class _Tok:
     text: str
     line: int
     col: int
+
+
+def _shown(tok: _Tok) -> str:
+    return "end of input" if tok.kind == "end" else tok.text
 
 
 def _scan(pattern, src: str, line: int, col: int) -> list:
@@ -212,64 +219,60 @@ class _Parser:
         self.toks = toks
         self.i = 0
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def peek(self) -> _Tok:
+        return self.toks[self.i]
 
     def next(self) -> _Tok:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula")
+        if tok.kind == "end":
+            raise ParseError("unexpected end of formula", tok.line, tok.col)
         self.i += 1
         return tok
 
     def expect(self, text: str) -> _Tok:
         tok = self.peek()
-        if tok is None or tok.text != text:
-            got = tok.text if tok else "end of input"
-            where = (tok.line, tok.col) if tok else (None, None)
-            raise ParseError(f"expected {text!r}, got {got!r}", *where)
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, got {_shown(tok)!r}", tok.line, tok.col)
         return self.next()
 
     # formula := iff-chain; quantifiers scope as far right as they can
     def formula(self) -> Formula:
         node = self.implication()
-        while self.peek() and self.peek().text == "<=>":
+        while self.peek().text == "<=>":
             self.next()
             node = BoolOp("<=>", node, self.implication())
         return node
 
     def implication(self) -> Formula:
         node = self.disjunction()
-        if self.peek() and self.peek().text == "=>":
+        if self.peek().text == "=>":
             self.next()
             return BoolOp("=>", node, self.implication())
         return node
 
     def disjunction(self) -> Formula:
         node = self.conjunction()
-        while self.peek() and self.peek().text == "|":
+        while self.peek().text == "|":
             self.next()
             node = BoolOp("|", node, self.conjunction())
         return node
 
     def conjunction(self) -> Formula:
         node = self.unary()
-        while self.peek() and self.peek().text == "&":
+        while self.peek().text == "&":
             self.next()
             node = BoolOp("&", node, self.unary())
         return node
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula")
         if tok.text == "~":
             self.next()
             return Not(self.unary())
         if tok.kind == "quant":
             self.next()
             names = [self._var_name()]
-            while self.peek() and self.peek().text == ",":
+            while self.peek().text == ",":
                 self.next()
                 names.append(self._var_name())
             return Quant(tok.text, tuple(names), self.formula())
@@ -283,8 +286,8 @@ class _Parser:
 
     def primary(self) -> Formula:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula")
+        if tok.kind == "end":
+            raise ParseError("unexpected end of formula", tok.line, tok.col)
         if tok.kind == "dollar":
             return self._apply()
         if tok.kind == "ident" and tok.text[0].isupper():
@@ -307,7 +310,7 @@ class _Parser:
         name = tok.text[1:]
         self.expect("(")
         args = [self.term()]
-        while self.peek() and self.peek().text == ",":
+        while self.peek().text == ",":
             self.next()
             args.append(self.term())
         self.expect(")")
@@ -332,32 +335,31 @@ class _Parser:
     def _comparison(self) -> Formula:
         left = self.term()
         tok = self.peek()
-        if tok is None or tok.text not in self._RELOPS:
-            got = tok.text if tok else "end of input"
-            where = (tok.line, tok.col) if tok else (None, None)
-            raise ParseError(f"expected a comparison operator, got {got!r}", *where)
+        if tok.text not in self._RELOPS:
+            got = _shown(tok)
+            raise ParseError(f"expected a comparison operator, got {got!r}", tok.line, tok.col)
         self.next()
         right = self.term()
         return Compare(tok.text, left, right)
 
     def term(self) -> Term:
         node = self.factor()
-        while self.peek() and self.peek().text in ("+", "-"):
+        while self.peek().text in ("+", "-"):
             op = self.next().text
             node = BinTerm(op, node, self.factor())
         return node
 
     def factor(self) -> Term:
         node = self.term_atom()
-        while self.peek() and self.peek().text in ("*", "/"):
+        while self.peek().text in ("*", "/"):
             op = self.next().text
             node = BinTerm(op, node, self.term_atom())
         return node
 
     def term_atom(self) -> Term:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of term")
+        if tok.kind == "end":
+            raise ParseError("unexpected end of term", tok.line, tok.col)
         if tok.kind == "num":
             self.next()
             return Const(int(tok.text))
@@ -384,7 +386,7 @@ def parse_formula(src: str, line: int = 1, col: int = 1) -> Formula:
     parser = _Parser(_scan(_TOKEN_RE, src, line, col))
     node = parser.formula()
     tok = parser.peek()
-    if tok is not None:
+    if tok.kind != "end":
         raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
     return node
 

@@ -105,8 +105,11 @@ def floor_phi(n: int) -> int:
 
 
 def floor_phi2(n: int) -> int:
-    """Exact floor(phi^2 * n); phi^2 = phi + 1 forces this to be floor_phi(n) + n."""
-    return floor_phi(n) + n
+    """Exact floor(phi^2 * n); phi^2 = phi + 1 forces this to be floor_phi(n) + n,
+    which is (3n + isqrt(5 n^2)) // 2."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return (3 * n + isqrt(5 * n * n)) // 2
 
 
 def floor_phi_half(n: int) -> int:

@@ -510,27 +510,24 @@ class Reproduction:
         return True, "recursion = representation to |u|=10; relations to |v|=8"
 
     def _c11_main(self):
-        a = seqs.oracle("a105774")
         big = nu.floor_phi2(nu.floor_phi2(nu.floor_phi2(nu.floor_phi2(nu.floor_phi2(2000))))) + 5
-        a.table(big + 2)
+        a = seqs.oracle("a105774").table(big + 2)  # indices stay below 2.5e5
+        floor_phi = seqs._vec_floor_phi
+        ns = np.arange(1, 2001, dtype=np.int64)
+        a_n, a_phi_n = a[ns], a[floor_phi(ns)]
+        x = a_phi_n - floor_phi(a_n)  # seqs.x_comp over ns
         for size in range(1, 6):
             for bits in range(1 << size):
                 u = "".join("bd"[(bits >> i) & 1] for i in range(size))
                 i, j = u.count("b"), u.count("d")
                 cu = linrep.carlitz_C(u)
-                for n in range(1, 2001):
-                    m = n
-                    for ch in reversed(u):
-                        m = nu.floor_phi(m) if ch == "b" else nu.floor_phi2(m)
-                    lhs = a.value(m)
-                    x = seqs.x_comp(n)
-                    rhs = (
-                        nu.fib(i + 2 * j) * a.value(nu.floor_phi(n))
-                        + nu.fib(i + 2 * j - 1) * a.value(n)
-                        + cu * (2 * x - 1)
-                    )
-                    if lhs != rhs:
-                        return False, f"identity fails at u={u}, n={n}"
+                m = ns
+                for ch in reversed(u):
+                    m = floor_phi(m) if ch == "b" else floor_phi(m) + m
+                rhs = nu.fib(i + 2 * j) * a_phi_n + nu.fib(i + 2 * j - 1) * a_n + cu * (2 * x - 1)
+                bad = np.flatnonzero(a[m] != rhs)
+                if bad.size:
+                    return False, f"identity fails at u={u}, n={int(ns[bad[0]])}"
         return True, "all |u| <= 5, n <= 2000"
 
 

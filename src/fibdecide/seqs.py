@@ -404,11 +404,13 @@ class SequenceOracle:
         self._table_fn = table_fn
         self.cheap_scalar = cheap_scalar
         self._table: np.ndarray | None = None
+        self._view = memoryview(b"")  # the table, read as Python ints
 
     def value(self, n: int) -> int:
-        t = self._table
-        if t is not None and n < len(t):
-            return int(t[n])
+        if n < 0:
+            raise ValueError(f"{self.name} is defined for n >= 0, got {n}")
+        if n < len(self._view):
+            return self._view[n]
         return int(self._scalar(n))
 
     def table(self, n: int) -> np.ndarray:
@@ -419,6 +421,7 @@ class SequenceOracle:
                 self._table = np.array(
                     [self._scalar(i) for i in range(n)], dtype=np.int64
                 )
+            self._view = memoryview(self._table)
         return self._table[:n]
 
     def batch(self, ns: np.ndarray) -> np.ndarray:
@@ -426,6 +429,8 @@ class SequenceOracle:
         if not self.cheap_scalar:
             raise ValueError(f"{self.name} cannot evaluate arbitrary arguments")
         ns = np.ascontiguousarray(ns, dtype=np.int64)
+        if ns.size and int(ns.min()) < 0:
+            raise ValueError(f"{self.name} is defined for n >= 0, got {int(ns.min())}")
         hi = int(ns.max()) + 1 if ns.size else 0
         cap = 1 << 21
         if self._table is None or len(self._table) < min(hi, cap):
@@ -524,12 +529,14 @@ _CACHE: dict[str, SequenceOracle] = {}
 
 def oracle(name: str) -> SequenceOracle:
     """Look up an oracle by its disambiguated registry name."""
+    found = _CACHE.get(name)
+    if found is not None:
+        return found
     if name in AMBIGUOUS_LETTERS and name not in _REGISTRY:
         raise ValueError(
             f"{name!r} is ambiguous; did you mean one of {AMBIGUOUS_LETTERS[name]}?"
         )
     if name not in _REGISTRY:
         raise ValueError(f"unknown oracle {name!r}; known: {', '.join(ORACLE_NAMES)}")
-    if name not in _CACHE:
-        _CACHE[name] = _REGISTRY[name]()
-    return _CACHE[name]
+    found = _CACHE[name] = _REGISTRY[name]()
+    return found

@@ -10,6 +10,8 @@ from fibdecide import numeration as nu
 from fibdecide import seqs
 from fibdecide import synth
 
+import reference_linrep
+
 
 @pytest.fixture(scope="module")
 def a_rel(catalog):
@@ -29,6 +31,17 @@ def test_carlitz_base_cases():
         linrep.carlitz_C("")
     with pytest.raises(ValueError):
         linrep.carlitz_C("xz")
+
+
+def test_carlitz_matches_the_recursive_reference():
+    for size in range(1, 13):
+        for u in itertools.product("bd", repeat=size):
+            word = "".join(u)
+            assert linrep.carlitz_C(word) == reference_linrep.carlitz_C(word), word
+    for bad in ("", "xz", "bxd", "b d"):
+        for fn in (linrep.carlitz_C, reference_linrep.carlitz_C):
+            with pytest.raises(ValueError, match="nonempty word"):
+                fn(bad)
 
 
 def test_carlitz_linrep_matches_recursion():

@@ -203,11 +203,15 @@ def test_script_unknown_command():
     ('def a "x=1":\n\neval x "abc\n', r"unterminated string \(line 3\)$"),
     ('reg r "0*":', r"reg needs at least one msd_fib track \(line 1\)$"),
     ("combine C:\n", r"combine needs at least one part \(line 1\)$"),
+    ('def a "x=1":\ndef b "x=":', r"unexpected end of term \(line 2, column 10\)$"),
+    ('eval e "Ax x=x &":', r"unexpected end of formula \(line 1, column 17\)$"),
+    ('def c "(x=1":', r"expected '\)', got 'end of input' \(line 1, column 12\)$"),
 ], ids=[
     "combine-without-number", "def-without-name", "eval-without-name", "line-without-column",
     "combine-ends-with-its-line", "body-error-at-script-position",
     "body-error-on-a-later-body-line", "unterminated-string", "reg-without-tracks",
-    "combine-without-parts",
+    "combine-without-parts", "term-ends-with-the-body", "formula-ends-with-the-body",
+    "paren-open-at-the-end-of-the-body",
 ])
 def test_malformed_script_commands_raise_parse_errors(script, message):
     """Every command parses before any runs; a body parses when its command

@@ -250,6 +250,39 @@ def test_oracle_batch_fallback():
         seqs.oracle("sorted").batch(np.array([10**9]))
 
 
+@pytest.mark.parametrize("name", ["a105774", "phi"])
+def test_oracle_rejects_negative_arguments_warm_or_cold(monkeypatch, name):
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    orc = seqs.oracle(name)
+    for warm in (False, True):
+        if warm:
+            orc.table(100)
+        with pytest.raises(ValueError, match="n >= 0"):
+            orc.value(-1)
+        with pytest.raises(ValueError, match="n >= 0"):
+            orc.batch(np.array([-1, 3]))
+
+
+# a(F(n)) and a(L(n)) leave int64 after n = 92, so their tables stop there
+_TABLE_LIMIT = {"s": 90, "t": 90}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in seqs.ORACLE_NAMES if seqs.oracle(n).cheap_scalar]
+)
+def test_oracle_values_are_exact_python_ints_warm_or_cold(monkeypatch, name):
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    orc = seqs.oracle(name)
+    limit = _TABLE_LIMIT.get(name, 3000)
+    want = [orc._scalar(n) for n in range(limit)]
+    for warm in (False, True):
+        if warm:
+            orc.table(_TABLE_LIMIT.get(name, 4000))
+        got = [orc.value(n) for n in range(limit)]
+        assert got == want, (name, warm)
+        assert {type(v) for v in got} == {int}, (name, warm)
+
+
 def test_beatty_oracles_vs_scalars():
     for name, fn in [
         ("a007067", nu.floor_phi_half),
