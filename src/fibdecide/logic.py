@@ -16,11 +16,11 @@ Compilation is structural: a comparison folds both sides into one linear
 form and compiles to one `arith.linear` automaton, joined with the side
 constraints that keep `-` and `/` relational; other atoms instantiate
 catalog automata cylindrified onto the sorted free-variable list, a
-compound argument through a helper variable; `A` desugars to `~E~`; every
-automaton in the pipeline stays zero-normalized, minimized, and restricted
-to valid tracks, which is what makes complementation mean logical negation
-over numbers (which connectives must re-restrict, and why, is noted at
-`Compiler._bool`).
+compound argument through a helper variable; a quantifier block is one
+join plan (`Compiler._plan`), `A` being `~E~`; every automaton in the
+pipeline stays zero-normalized, minimized, and restricted to valid tracks,
+which is what makes complementation mean logical negation over numbers
+(which connectives must re-restrict, and why, is noted at `Compiler._bool`).
 """
 
 from __future__ import annotations
@@ -553,14 +553,16 @@ class Compiler:
             right = self._compile(f.right, fresh)
             return self._bool(f.op, left, right)
         if isinstance(f, Quant):
-            # A is ~E~; last-listed variables go first: eliminating the most
-            # applied (usually value-side) track keeps the powerset small
-            body = self._compile(f.body, fresh)
-            if f.kind == "A":
-                body = self._negate(body)
-            for name in reversed(f.names):
-                body = self._exists(body, name)
-            return self._negate(body) if f.kind == "A" else body
+            # A (P1 & ... & Pm) => Q is ~E (P1 & ... & Pm & ~Q), any other A is ~E~
+            if f.kind == "E":
+                parts = _conjuncts(f.body)
+            elif isinstance(f.body, BoolOp) and f.body.op == "=>":
+                parts = [*_conjuncts(f.body.left), Not(f.body.right)]
+            else:
+                parts = [Not(f.body)]
+            pieces = [self._compile(p, fresh) for p in parts]
+            q = self._plan(pieces, {v for p in pieces for v in p.variables} - set(f.names))
+            return self._negate(q) if f.kind == "A" else q
         raise TypeError(f)
 
     # ---- building blocks
@@ -633,7 +635,7 @@ class Compiler:
             constraints.append(self._comparison(Var(v), "=", t, fresh))
             names.append(v)
         keep = set().union(*map(_term_vars, terms))
-        return self._join(self._oriented(rel, tuple(names)), constraints, keep)
+        return self._plan([self._oriented(rel, tuple(names)), *constraints], keep)
 
     def _comparison(self, left: Term, op: str, right: Term, fresh) -> CompiledQuery:
         """left OP right for OP one of = < <=: one linear atom on left - right,
@@ -652,8 +654,7 @@ class Compiler:
         keep = _term_vars(left) | _term_vars(right)
         widest = max(len(form) for form, _, _ in specs)
         if widest <= max(_ATOM_TRACKS, len(keep)) and widest <= au.MAX_ARITY:
-            base, *constraints = (self._relation(*spec) for spec in specs)
-            return self._join(base, constraints, keep)
+            return self._plan([self._relation(*spec) for spec in specs], keep)
         half = _width(BinTerm("+", left, right)) // 2  # both sides together
         t = max(left, right, key=_width)
         while isinstance(t, BinTerm) and _width(t) > half:
@@ -665,21 +666,29 @@ class Compiler:
         rest = Compare(op, _replace(left, t, h), _replace(right, t, h))
         return self._compile(Quant("E", (h.name,), BoolOp("&", Compare("=", h, t), rest)), fresh)
 
-    def _join(self, acc: CompiledQuery, constraints: list, keep: set) -> CompiledQuery:
-        """Conjoin constraints into acc, dropping each helper (a variable not
-        in keep) the moment its last constraint is merged.
+    def _plan(self, pieces: list, keep: set) -> CompiledQuery:
+        """Conjoin pieces, projecting each variable outside keep (a block's
+        bound variables, an atom's helpers) once no other piece uses it, as
+        a block's whole matrix costs most.  Each step joins the pair with the
+        fewest variables between them, then the smaller product of state
+        counts, then the newest pair (joins are appended)."""
 
-        Joining pieces that share variables first and dropping helpers early
-        keeps the intermediate arity low; carrying every helper to the end is
-        the main compile-time cost otherwise.
-        """
-        while constraints:
-            shared = [len(set(q.variables) & set(acc.variables)) for q in constraints]
-            acc = self._bool("&", acc, constraints.pop(shared.index(max(shared))))
-            later = {v for q in constraints for v in q.variables}
-            for v in [x for x in acc.variables if x not in keep and x not in later]:
-                acc = self._exists(acc, v)
-        return acc
+        def drop(q, rest):
+            used = {v for r in rest for v in r.variables}
+            for v in [x for x in q.variables if x not in keep and x not in used]:
+                q = self._exists(q, v)
+            return q
+
+        def cost(ij):
+            a, b = (pieces[k] for k in ij)
+            return len(set(a.variables) | set(b.variables)), a.aut.n_states * b.aut.n_states
+
+        pieces = [drop(q, pieces[:i] + pieces[i + 1:]) for i, q in enumerate(pieces)]
+        while len(pieces) > 1:
+            i, j = min(reversed(list(itertools.combinations(range(len(pieces)), 2))), key=cost)
+            rest = pieces[:i] + pieces[i + 1:j] + pieces[j + 1:]
+            pieces = rest + [drop(self._bool("&", pieces[i], pieces[j]), rest)]
+        return pieces[0]
 
     def _linear(self, t: Term, fresh, constraints, helpers) -> tuple[dict, int]:
         """Fold a term into ({variable: coefficient}, constant), adding the
@@ -743,6 +752,13 @@ class Compiler:
             valid = au.minimize(au.intersect(picked, arith.valid_tracks(aut.arity)))
             hit = self._value_dfa_cache[(name, value)] = (aut, au.zero_normalize(valid))
         return hit[1]
+
+
+def _conjuncts(f: Formula) -> list:
+    """The conjuncts of an &-chain."""
+    if isinstance(f, BoolOp) and f.op == "&":
+        return _conjuncts(f.left) + _conjuncts(f.right)
+    return [f]
 
 
 def _combine(a: dict, b: dict, sign: int) -> dict:

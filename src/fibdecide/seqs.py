@@ -417,15 +417,15 @@ class SequenceOracle:
         if self._table is None or len(self._table) < n:
             if self._table_fn is not None:
                 self._table = np.asarray(self._table_fn(n), dtype=np.int64)
-            else:
-                self._table = np.array(
-                    [self._scalar(i) for i in range(n)], dtype=np.int64
-                )
-            self._view = memoryview(self._table)
+                self._view = memoryview(self._table)
+            else:  # Python ints: s and t leave int64 past n = 92
+                self._table = np.array([self._scalar(i) for i in range(n)], dtype=object)
+                self._view = self._table.tolist()
         return self._table[:n]
 
     def batch(self, ns: np.ndarray) -> np.ndarray:
-        """Exact values at arbitrary arguments (needs cheap_scalar)."""
+        """Exact values at arbitrary arguments (needs cheap_scalar), in
+        the dtype of the table."""
         if not self.cheap_scalar:
             raise ValueError(f"{self.name} cannot evaluate arbitrary arguments")
         ns = np.ascontiguousarray(ns, dtype=np.int64)
@@ -436,7 +436,7 @@ class SequenceOracle:
         if self._table is None or len(self._table) < min(hi, cap):
             self.table(min(max(hi, 2), cap))
         t = self._table
-        out = np.empty(ns.size, dtype=np.int64)
+        out = np.empty(ns.size, dtype=t.dtype)
         small = ns < len(t)
         out[small] = t[ns[small]]
         for i in np.flatnonzero(~small):

@@ -21,6 +21,7 @@ import pytest
 from fibdecide import arith
 from fibdecide import automata as au
 from fibdecide import cli
+from fibdecide import logic
 from fibdecide import reproduce as rp
 from fibdecide import seqs
 
@@ -178,6 +179,24 @@ def test_script_automata_and_verdicts_are_golden(reproduction):
     assert built == list(SCRIPT_AUTOMATA)
     got = {name: _digest(run.session.automaton(name)) for name in built}
     assert got == SCRIPT_AUTOMATA
+
+
+def test_partb_block_never_builds_its_whole_matrix(reproduction, monkeypatch):
+    """partb quantifies eight variables over six conjuncts.  Joined and
+    projected a pair at a time, nothing handed to minimize passes 500
+    states; the whole matrix, projected afterwards, had 1,982."""
+    session = reproduction[0].session
+    body = next(cmd.body for cmd in logic.parse_script(rp.SCRIPT) if cmd.name == "partb")
+    sizes = []
+    real = au.minimize
+
+    def spy(a):
+        sizes.append(a.n_states)
+        return real(a)
+
+    monkeypatch.setattr(au, "minimize", spy)
+    assert session.eval(body)
+    assert 0 < max(sizes) <= 500
 
 
 # the same digests of the 13 stored catalog automata and the 9 certified

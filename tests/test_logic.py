@@ -404,7 +404,31 @@ def test_package_exports():
 
 class _ReferenceCompiler(logic.Compiler):
     """Each lifted side intersected with the valid tracks before the product,
-    and => / <=> intersected again after it."""
+    and => / <=> intersected again after it.  A quantifier block compiles
+    bottom up: its whole matrix at full arity (negated first for A), then
+    the last-listed variable projected first; an atom's helpers are joined
+    into an accumulator, the piece sharing the most variables with it next,
+    each helper dropped after its last piece."""
+
+    def _compile(self, f, fresh):
+        if not isinstance(f, logic.Quant):
+            return super()._compile(f, fresh)
+        body = self._compile(f.body, fresh)
+        if f.kind == "A":
+            body = self._negate(body)
+        for name in reversed(f.names):
+            body = self._exists(body, name)
+        return self._negate(body) if f.kind == "A" else body
+
+    def _plan(self, pieces, keep):
+        acc, *rest = pieces
+        while rest:
+            shared = [len(set(q.variables) & set(acc.variables)) for q in rest]
+            acc = self._bool("&", acc, rest.pop(shared.index(max(shared))))
+            later = {v for q in rest for v in q.variables}
+            for v in [x for x in acc.variables if x not in keep and x not in later]:
+                acc = self._exists(acc, v)
+        return acc
 
     def _lift(self, q, allvars):
         if q.variables == allvars:
@@ -848,6 +872,52 @@ def test_atoms_match_reference_compiler(catalog):
         "repeat", "$phin", "$lt", "F=", "F!=", "&", "|", "=>", "<=>", "~",
         "A1", "A2", "E1", "E2",
     }
+
+
+class _BlockGen(_FormulaGen):
+    """Seeded random quantifier blocks: E over an &-chain, A over
+    (P1 & ... & Pm) => Q, either over any other body, their conjuncts
+    atoms, negated atoms or nested blocks; a bound x shadows the free x."""
+
+    def block(self, vars_, depth):
+        r = self.rng
+        kind = r.choice("AE")
+        names = r.sample(["a", "b", "c", "x"], r.choice([1, 2, 3]))
+        if "x" in names and "x" in vars_:
+            self.used.add("shadow")
+        inner = sorted(set(vars_) | set(names))
+        parts = []
+        for _ in range(r.choice([1, 2, 3, 4])):
+            if depth and r.random() < 0.3:
+                self.used.add("nested")
+                parts.append(self.block(inner, depth - 1))
+            else:
+                parts.append(("~" if r.random() < 0.15 else "") + f"({self.atom(inner)})")
+        parts = [f"({p})" for p in parts]
+        shape = r.choice(["&", "&", "=>", "|"]) if len(parts) > 1 else "&"
+        self.used.add(f"{kind}{shape}")
+        if shape == "=>":
+            body = f"({' & '.join(parts[:-1])}) => {parts[-1]}"
+        else:
+            body = f" {shape} ".join(parts)
+        return f"{kind}{','.join(names)} {body}"
+
+
+def test_quantifier_blocks_match_reference_compiler(catalog):
+    """One join plan per block against the bottom-up compile, byte for byte."""
+    lookup = logic.Session(catalog)._lookup
+    new, ref = logic.Compiler(lookup), _ReferenceCompiler(lookup)
+    gen = _BlockGen(20261018)
+    for _ in range(60):
+        text = gen.block(["x", "y"], 2)
+        f = logic.parse_formula(text)
+        got, want = new.compile(f), ref.compile(f)
+        assert got.variables == want.variables, text
+        for field in ("delta", "outputs"):
+            g, w = getattr(got.aut, field), getattr(want.aut, field)
+            assert g.dtype == w.dtype and np.array_equal(g, w), text
+        assert (got.aut.initial, got.aut.zero_normalized) == (want.aut.initial, True), text
+    assert gen.used >= {"E&", "E=>", "E|", "A&", "A=>", "A|", "nested", "shadow", "t/c", "-"}
 
 
 # -- linear comparisons: one arith.linear atom per comparison -----------------

@@ -222,8 +222,6 @@ def test_t_recurrence_actual_range():
 
 def test_comp_sequences():
     assert seqs.x_comp(1) == 0
-    for n in range(1, 10_000):
-        pass
     xs = seqs.oracle("x_comp").table(10_000)
     assert set(np.unique(xs[1:])) <= {0, 1}
     ds = seqs.oracle("d_comp").table(10_000)
@@ -263,8 +261,8 @@ def test_oracle_rejects_negative_arguments_warm_or_cold(monkeypatch, name):
             orc.batch(np.array([-1, 3]))
 
 
-# a(F(n)) and a(L(n)) leave int64 after n = 92, so their tables stop there
-_TABLE_LIMIT = {"s": 90, "t": 90}
+# a(F(n)) and a(L(n)) leave int64 after n = 92; their tables go past it
+_TABLE_LIMIT = {"s": 120, "t": 120}
 
 
 @pytest.mark.parametrize(
@@ -281,6 +279,20 @@ def test_oracle_values_are_exact_python_ints_warm_or_cold(monkeypatch, name):
         got = [orc.value(n) for n in range(limit)]
         assert got == want, (name, warm)
         assert {type(v) for v in got} == {int}, (name, warm)
+
+
+@pytest.mark.parametrize("name, value", [("s", seqs.s_value), ("t", seqs.t_value)])
+def test_s_and_t_tables_and_batches_stay_exact_past_int64(monkeypatch, name, value):
+    """a(F(n)) and a(L(n)) leave int64 at n = 93 and 92; the table and a
+    batch past that hold the exact Python ints, cold or warm."""
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    orc = seqs.oracle(name)
+    want = [value(n) for n in range(100)]
+    assert want[-1] > 2**63
+    assert orc.batch(np.array([99, 3])).tolist() == [want[99], want[3]]
+    assert orc.table(95).tolist() == want[:95]
+    assert orc.batch(np.array([99, 100])).tolist() == [want[99], value(100)]
+    assert orc.value(100) == value(100) == orc.batch(np.array([100]))[0]
 
 
 def test_beatty_oracles_vs_scalars():
