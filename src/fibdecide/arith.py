@@ -214,13 +214,16 @@ def fibword() -> Automaton:
 
 def fibword_prefix(n: int) -> np.ndarray:
     """First n letters of the fixed point of 0 -> 01, 1 -> 0."""
-    word = [0]
-    while len(word) < n:
-        nxt = []
-        for ch in word:
-            nxt.extend((0, 1) if ch == 0 else (0,))
+    word = np.zeros(1, dtype=np.int32)
+    while word.size < n:
+        zero = word == 0
+        # letter i starts at i plus the number of zeros before it; a zero
+        # writes 0 there and 1 after it, a one writes only its 0
+        start = np.arange(word.size) + np.cumsum(zero) - zero
+        nxt = np.zeros(word.size + int(zero.sum()), dtype=np.int32)
+        nxt[start[zero] + 1] = 1
         word = nxt
-    return np.array(word[:n], dtype=np.int32)
+    return word[:n]
 
 
 def _certify_fibword(aut: Automaton, n: int) -> None:
@@ -322,11 +325,8 @@ def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> BuiltinCatalo
     if report.verdict != "CERTIFIED":
         raise CatalogError(f"phin certification failed: {report.detail}")
     phin = report.candidate
-    got = accepts_number_pairs(
-        phin, np.arange(phin_verify), phin_oracle.table(phin_verify)
-    )
-    if not bool(got.all()):
-        bad = int(np.flatnonzero(~got)[0])
+    bad = _first_floor_phi_miss(phin, phin_verify)
+    if bad is not None:
         raise CatalogError(f"phin disagrees with floor(phi n) at n={bad}")
     cat["phin"] = phin
 
@@ -344,6 +344,24 @@ def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> BuiltinCatalo
     cat["fibword"] = fw
     cat["F"] = fw
     return cat
+
+
+def _first_floor_phi_miss(phin: Automaton, n: int) -> int | None:
+    """Least m < n at which phin does not accept (m, floor(phi m)), or None.
+
+    Compares one automata.RUN_BLOCK block of m at a time with that block's
+    exact floor(phi m), so neither a table nor an arange of n is built.
+    The relation is zero-normalized, so each block's own padding width
+    gives the answer a single run over all of 0..n-1 would give.
+    """
+    from . import seqs
+
+    for lo in range(0, n, au.RUN_BLOCK):
+        ms = np.arange(lo, min(lo + au.RUN_BLOCK, n), dtype=np.int64)
+        got = accepts_number_pairs(phin, ms, seqs._vec_floor_phi(ms))
+        if not bool(got.all()):
+            return lo + int(np.flatnonzero(~got)[0])
+    return None
 
 
 def _certify_beatty(cat: BuiltinCatalog, n: int) -> None:

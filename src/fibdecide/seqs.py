@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import automata as au
 from . import numeration as nu
 
 __all__ = [
@@ -184,23 +185,31 @@ _VEC_PHI_MAX = nu.isqrt((1 << 52) // 5)
 
 
 def _vec_floor_phi(m: np.ndarray) -> np.ndarray:
-    """Exact floor(phi m) elementwise; larger m go through the integer scalar."""
+    """Exact floor(phi m) elementwise; larger m go through the integer scalar.
+
+    Works in blocks of automata.RUN_BLOCK, so the temporaries stay small
+    next to the result.
+    """
     if m.size and int(m.max()) > _VEC_PHI_MAX:
         return np.array([nu.floor_phi(int(v)) for v in m], dtype=np.int64)
-    five = 5 * m * m
-    r = np.sqrt(five.astype(np.float64)).astype(np.int64)
-    # exact integer sqrt: repair float rounding
-    while True:
-        over = r * r > five
-        if not over.any():
-            break
-        r[over] -= 1
-    while True:
-        under = (r + 1) * (r + 1) <= five
-        if not under.any():
-            break
-        r[under] += 1
-    return (m + r) // 2
+    out = np.empty(m.shape, dtype=np.int64)
+    for lo in range(0, m.size, au.RUN_BLOCK):
+        mb = m[lo : lo + au.RUN_BLOCK]
+        five = 5 * mb * mb
+        r = np.sqrt(five.astype(np.float64)).astype(np.int64)
+        # exact integer sqrt: repair float rounding
+        while True:
+            over = r * r > five
+            if not over.any():
+                break
+            r[over] -= 1
+        while True:
+            under = (r + 1) * (r + 1) <= five
+            if not under.any():
+                break
+            r[under] += 1
+        out[lo : lo + mb.size] = (mb + r) // 2
+    return out
 
 
 def a035487_set(limit: int) -> np.ndarray:
@@ -415,6 +424,8 @@ class SequenceOracle:
 
     def table(self, n: int) -> np.ndarray:
         if self._table is None or len(self._table) < n:
+            # let go of the old table first, so a regrow never holds both
+            self._table, self._view = None, memoryview(b"")
             if self._table_fn is not None:
                 self._table = np.asarray(self._table_fn(n), dtype=np.int64)
                 self._view = memoryview(self._table)

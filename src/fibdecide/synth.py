@@ -51,6 +51,9 @@ DEFAULT_SCHEDULE = (4096, 16384, 65536, 262144)
 _DFA_MAX_STATES = 512
 _PAIR_MAX_STATES = 1024
 _REPLAY_ROUNDS = 24
+# signature entries computed at once while closing a table: bounds the
+# (rows x width) matrices of one chunk of the frontier
+_CHUNK_CELLS = 1 << 16
 
 
 class SynthesisError(RuntimeError):
@@ -73,8 +76,9 @@ class ObservationTable:
     """Signature-indexed state table shared by every learner front end.
 
     source must provide: n_symbols, width, init(), step(state, sym),
-    signature(state) -> uint8 ternary vector of length width (entry 0 is
-    the empty suffix), and describe(state) for diagnostics.
+    signatures(states) -> uint8 ternary matrix with one row of length
+    width per state (column 0 is the empty suffix), and describe(state)
+    for diagnostics.
 
     The stored signatures are the rows of one uint8 matrix.  They stay
     pairwise incompatible (each pair clashes on a mutually known entry),
@@ -134,27 +138,32 @@ class ObservationTable:
         return idx
 
     def hypothesis(self) -> Automaton:
-        """Close the table breadth-first and read off the automaton."""
+        """Close the table breadth-first and read off the automaton.
+
+        The successors of the states not yet expanded (queue order, symbols
+        ascending) get their signatures from one `signatures` call of at
+        most _CHUNK_CELLS entries, then are looked up one at a time.  A
+        signature depends only on its successor, so the states and their
+        numbering are those of a closure one successor at a time.
+        """
         src = self.source
+        k = src.n_symbols
         init = src.init()
-        self._add(src.signature(init), init, 0)
-        rows: list[list[int]] = []
-        qi = 0
-        while qi < len(self.reps):
-            row = []
-            for sym in range(src.n_symbols):
-                nxt = src.step(self.reps[qi], sym)
-                sig = src.signature(nxt)
+        self._add(src.signatures([init])[0], init, 0)
+        per_chunk = max(1, _CHUNK_CELLS // (k * max(src.width, 1)))
+        targets: list[int] = []
+        while len(targets) < k * len(self.reps):
+            lo = len(targets) // k
+            hi = min(len(self.reps), lo + per_chunk)
+            succ = [src.step(self.reps[q], sym) for q in range(lo, hi) for sym in range(k)]
+            for i, (sig, nxt) in enumerate(zip(src.signatures(succ), succ)):
                 target = self._lookup(sig)
                 if target is None:
-                    target = self._add(sig, nxt, self.depths[qi] + 1)
-                row.append(target)
-            rows.append(row)
-            qi += 1
+                    target = self._add(sig, nxt, self.depths[lo + i // k] + 1)
+                targets.append(target)
+        delta = np.array(targets, dtype=np.int32).reshape(-1, k)
         outputs = (self.sigs[:, 0] == 1).astype(np.int32)
-        return Automaton(
-            src.arity, np.array(rows, dtype=np.int32), outputs, 0
-        )
+        return Automaton(src.arity, delta, outputs, 0)
 
 
 # -- suffix sets -------------------------------------------------------------
@@ -254,30 +263,26 @@ class _PairSource:
     def describe(self, st):
         return au._word_text(list(st[7]), 2)
 
-    def signature(self, st) -> np.ndarray:
-        p0, q0, p1, q1, l0, l1, ok, _ = st
+    def signatures(self, states) -> np.ndarray:
         sfx = self.sfx
-        if not ok:
-            return np.zeros(sfx.count, dtype=np.uint8)
-        vmask = sfx.valid[0] & sfx.valid[1]
-        if l0:
-            vmask = vmask & ~sfx.first[0]
-        if l1:
-            vmask = vmask & ~sfx.first[1]
+        p0, q0, p1, q1, l0, l1, ok = (
+            np.array([st[i] for st in states], dtype=np.int64)[:, None] for i in range(7)
+        )
+        # both tracks valid, and no suffix leads with a one after a one
+        vmask = (
+            sfx.valid[0] & sfx.valid[1] & (ok != 0)
+            & ~(sfx.first[0] & (l0 != 0)) & ~(sfx.first[1] & (l1 != 0))
+        )
         n = p0 * sfx.f2 + q0 * sfx.f1 + sfx.values[0]
         x = p1 * sfx.f2 + q1 * sfx.f1 + sfx.values[1]
+        sig = np.zeros(n.shape, dtype=np.uint8)
         if self.batch is not None:
-            want = self.batch(n[vmask])
-            sig = np.zeros(sfx.count, dtype=np.uint8)
-            sig[vmask] = (want == x[vmask]).astype(np.uint8)
+            sig[vmask] = self.batch(n[vmask]) == x[vmask]
             return sig
         known = n < self.n_known
-        hit = np.zeros(sfx.count, dtype=bool)
         idx = known & vmask
-        hit[idx] = self.table[n[idx]] == x[idx]
-        sig = np.where(
-            ~vmask, 0, np.where(known, hit.astype(np.uint8), UNKNOWN)
-        ).astype(np.uint8)
+        sig[vmask & ~known] = UNKNOWN
+        sig[idx] = self.table[n[idx]] == x[idx]
         return sig
 
 
@@ -305,15 +310,16 @@ class _StringSource:
     def describe(self, st):
         return au._word_text(list(st), self.arity)
 
-    def signature(self, st) -> np.ndarray:
-        out = np.empty(len(self.suffixes), dtype=np.uint8)
-        for i, e in enumerate(self.suffixes):
-            w = st + e
-            if len(w) > self.bound:
-                out[i] = UNKNOWN
-                continue
-            got = self.member(w)
-            out[i] = UNKNOWN if got is None else (1 if got else 0)
+    def signatures(self, states) -> np.ndarray:
+        out = np.empty((len(states), self.width), dtype=np.uint8)
+        for r, st in enumerate(states):
+            for i, e in enumerate(self.suffixes):
+                w = st + e
+                if len(w) > self.bound:
+                    out[r, i] = UNKNOWN
+                    continue
+                got = self.member(w)
+                out[r, i] = UNKNOWN if got is None else (1 if got else 0)
         return out
 
 

@@ -1,11 +1,13 @@
 """Learner paths that the package replaced, kept as differential references:
 the observation table's per-state compatibility loop over a list of
-signatures, and the per-bit description of suffix words.  Not used by the
-package."""
+signatures, the per-bit description of suffix words, and the closure that
+computed one signature per successor right before looking it up.  Not used
+by the package."""
 
 import numpy as np
 
 from fibdecide import numeration as nu
+from fibdecide.automata import Automaton
 from fibdecide.synth import UNKNOWN
 
 
@@ -61,3 +63,64 @@ def suffix_descriptors(words):
         valid.append(ok)
         first.append(lead)
     return f2, f1, values, valid, first
+
+
+def pair_signature(src, st):
+    """One signature row of a synth._PairSource, computed on its own."""
+    p0, q0, p1, q1, l0, l1, ok, _ = st
+    sfx = src.sfx
+    if not ok:
+        return np.zeros(sfx.count, dtype=np.uint8)
+    vmask = sfx.valid[0] & sfx.valid[1]
+    if l0:
+        vmask = vmask & ~sfx.first[0]
+    if l1:
+        vmask = vmask & ~sfx.first[1]
+    n = p0 * sfx.f2 + q0 * sfx.f1 + sfx.values[0]
+    x = p1 * sfx.f2 + q1 * sfx.f1 + sfx.values[1]
+    if src.batch is not None:
+        want = src.batch(n[vmask])
+        sig = np.zeros(sfx.count, dtype=np.uint8)
+        sig[vmask] = (want == x[vmask]).astype(np.uint8)
+        return sig
+    known = n < src.n_known
+    hit = np.zeros(sfx.count, dtype=bool)
+    idx = known & vmask
+    hit[idx] = src.table[n[idx]] == x[idx]
+    return np.where(~vmask, 0, np.where(known, hit.astype(np.uint8), UNKNOWN)).astype(np.uint8)
+
+
+def string_signature(src, st):
+    """One signature row of a synth._StringSource, computed on its own."""
+    out = np.empty(len(src.suffixes), dtype=np.uint8)
+    for i, e in enumerate(src.suffixes):
+        w = st + e
+        if len(w) > src.bound:
+            out[i] = UNKNOWN
+            continue
+        got = src.member(w)
+        out[i] = UNKNOWN if got is None else (1 if got else 0)
+    return out
+
+
+def per_state_hypothesis(table, signature):
+    """Close an empty synth.ObservationTable state by state: each successor's
+    signature is computed right before its lookup."""
+    src = table.source
+    init = src.init()
+    table._add(signature(src, init), init, 0)
+    rows = []
+    qi = 0
+    while qi < len(table.reps):
+        row = []
+        for sym in range(src.n_symbols):
+            nxt = src.step(table.reps[qi], sym)
+            sig = signature(src, nxt)
+            target = table._lookup(sig)
+            if target is None:
+                target = table._add(sig, nxt, table.depths[qi] + 1)
+            row.append(target)
+        rows.append(row)
+        qi += 1
+    outputs = (table.sigs[:, 0] == 1).astype(np.int32)
+    return Automaton(src.arity, np.array(rows, dtype=np.int32), outputs, 0)

@@ -313,6 +313,46 @@ def test_fibword_values(catalog):
     assert got[:5] == [0, 1, 0, 0, 1]
 
 
+def _fibword_prefix_by_list(n):
+    """The morphism applied letter by letter to a Python list."""
+    word = [0]
+    while len(word) < n:
+        nxt = []
+        for ch in word:
+            nxt.extend((0, 1) if ch == 0 else (0,))
+        word = nxt
+    return word[:n]
+
+
+@pytest.mark.parametrize("n", [*range(51), 100_000])
+def test_fibword_prefix_matches_the_list_morphism(n):
+    got = arith.fibword_prefix(n)
+    assert got.dtype == np.int32
+    assert got.tolist() == _fibword_prefix_by_list(n)
+
+
+def test_phin_check_names_the_first_wrong_n(catalog, monkeypatch):
+    # each mutant redirects one transition of phin to the next state; in
+    # blocks of 4, several first misses (all below 16) sit past the first
+    monkeypatch.setattr(au, "RUN_BLOCK", 4)
+    phin = catalog["phin"]
+    n = 64
+    assert arith._first_floor_phi_miss(phin, n) is None
+    ns = np.arange(n)
+    want_vals = np.array([nu.floor_phi(int(m)) for m in ns])
+    misses = set()
+    for q in range(phin.n_states):
+        for sym in range(4):
+            delta = phin.delta.copy()
+            delta[q, sym] = (delta[q, sym] + 1) % phin.n_states
+            mutant = au.zero_normalize(au.Automaton(2, delta, phin.outputs, phin.initial))
+            ok = arith.accepts_number_pairs(mutant, ns, want_vals)
+            want = None if ok.all() else int(np.flatnonzero(~ok)[0])
+            assert arith._first_floor_phi_miss(mutant, n) == want
+            misses.add(want)
+    assert max(m for m in misses if m is not None) >= 8
+
+
 def test_mod_dfao_examples():
     m3 = arith.mod_dfao(3, verify_bound=20000)
     assert m3.value_at(7) == 1

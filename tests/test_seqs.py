@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from fibdecide import automata as au
 from fibdecide import numeration as nu
 from fibdecide import seqs
 
@@ -304,3 +307,39 @@ def test_beatty_oracles_vs_scalars():
         table = seqs.oracle(name).table(3000)
         for m in range(0, 3000, 61):
             assert int(table[m]) == fn(m), name
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of traced allocations while it runs."""
+    tracemalloc.start()
+    try:
+        got = fn()
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_vec_floor_phi_works_in_blocks():
+    got, peak = _traced_peak(lambda: seqs._vec_floor_phi(np.arange(1 << 20)))
+    assert peak < 2.5 * got.nbytes
+    edges = np.arange(1, (1 << 20) // au.RUN_BLOCK) * au.RUN_BLOCK
+    fibs = [nu.fib(j) for j in range(2, 31)]
+    for m in sorted({*(edges - 1), *edges, *(edges + 1), *fibs}):
+        assert got[m] == nu.floor_phi(int(m)), m
+    # Fibonacci arguments up to the vector path's limit: floor(phi F(j)) is
+    # the closest call for the float square root
+    fibs = [nu.fib(j) for j in range(2, 80) if nu.fib(j) <= seqs._VEC_PHI_MAX]
+    assert seqs._vec_floor_phi(np.array(fibs)).tolist() == [nu.floor_phi(f) for f in fibs]
+
+
+def test_oracle_regrow_never_holds_both_tables():
+    orc = seqs.SequenceOracle("lucas_variant", seqs.lucas_variant, seqs.lucas_variant_table)
+
+    def regrow():
+        old = orc.table(500_000).nbytes
+        tracemalloc.reset_peak()
+        return old, orc.table(1_000_000).nbytes
+
+    (old, new), peak = _traced_peak(regrow)
+    assert peak < old + new
+    assert orc.value(999_999) == seqs.lucas_variant(999_999)

@@ -228,3 +228,59 @@ def test_certification_ignores_state_numbering(catalog):
     assert au.equivalent(shuffled, rel)
     verdict = synth.recurrence_certificate("fib")(shuffled, catalog)
     assert verdict.ok
+
+
+def _assert_same_table(got, want, tab, ref):
+    assert got.delta.tobytes() == want.delta.tobytes()
+    assert got.outputs.tobytes() == want.outputs.tobytes()
+    assert tab.sigs.tobytes() == ref.sigs.tobytes()
+    assert tab.reps == ref.reps and tab.depths == ref.depths
+
+
+@pytest.mark.parametrize("chunk_cells", [synth._CHUNK_CELLS, 1])
+@pytest.mark.parametrize("name", ["a105774", "lucas_variant", "sorted"])
+def test_frontier_closure_matches_per_state_reference(monkeypatch, name, chunk_cells):
+    # every hypothesis of a learning run, replay rounds included, against
+    # the closure that computes one signature per successor; chunk_cells=1
+    # closes one state per chunk
+    monkeypatch.setattr(synth, "_CHUNK_CELLS", chunk_cells)
+    real = synth.ObservationTable.hypothesis
+    unknown = []
+
+    def both(self):
+        ref = synth.ObservationTable(self.source, self.max_states, self.max_depth)
+        want = reference_synth.per_state_hypothesis(ref, reference_synth.pair_signature)
+        got = real(self)
+        _assert_same_table(got, want, self, ref)
+        unknown.append(bool((self.sigs == synth.UNKNOWN).any()))
+        return got
+
+    monkeypatch.setattr(synth.ObservationTable, "hypothesis", both)
+    synth.guess_synchronized(seqs.oracle(name), 4096)
+    # cheap-scalar oracles are known everywhere; the table-only one is not
+    assert any(unknown) == (name == "sorted")
+
+
+def test_frontier_closure_matches_per_state_reference_for_strings():
+    member = lambda w: ("11" not in "".join(map(str, w))) and (
+        nu.decode("".join(map(str, w))) % 3 == 0
+    )
+    suffixes = synth._suffix_words(2, 4, zero_run=6, tail_len=1)
+    src = synth._StringSource(member, 1, suffixes, 12)
+    tab = synth.ObservationTable(src, 64, 8)
+    ref = synth.ObservationTable(src, 64, 8)
+    want = reference_synth.per_state_hypothesis(ref, reference_synth.string_signature)
+    _assert_same_table(tab.hypothesis(), want, tab, ref)
+
+
+@pytest.mark.parametrize("max_states, max_depth", [(5, 40), (1024, 3)])
+def test_frontier_closure_exhausts_like_the_reference(max_states, max_depth):
+    sfx = synth._SuffixData(synth._suffix_words(4, 4, 16, tail_len=2))
+    src = synth._PairSource(sfx, batch=seqs.oracle("lucas_variant").batch)
+    with pytest.raises(synth.BoundExhausted) as want:
+        reference_synth.per_state_hypothesis(
+            synth.ObservationTable(src, max_states, max_depth), reference_synth.pair_signature
+        )
+    with pytest.raises(synth.BoundExhausted) as got:
+        synth.ObservationTable(src, max_states, max_depth).hypothesis()
+    assert str(got.value) == str(want.value)
