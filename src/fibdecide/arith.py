@@ -13,7 +13,7 @@ about numbers, with padding conventions handled once here.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -325,7 +325,7 @@ def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> BuiltinCatalo
     if report.verdict != "CERTIFIED":
         raise CatalogError(f"phin certification failed: {report.detail}")
     phin = report.candidate
-    bad = _first_floor_phi_miss(phin, phin_verify)
+    bad = _first_miss(phin, phin_verify, seqs._vec_floor_phi)
     if bad is not None:
         raise CatalogError(f"phin disagrees with floor(phi n) at n={bad}")
     cat["phin"] = phin
@@ -346,19 +346,17 @@ def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> BuiltinCatalo
     return cat
 
 
-def _first_floor_phi_miss(phin: Automaton, n: int) -> int | None:
-    """Least m < n at which phin does not accept (m, floor(phi m)), or None.
+def _first_miss(rel: Automaton, n: int, f) -> int | None:
+    """Least m < n at which rel does not accept (m, f(m)), or None.
 
-    Compares one automata.RUN_BLOCK block of m at a time with that block's
-    exact floor(phi m), so neither a table nor an arange of n is built.
-    The relation is zero-normalized, so each block's own padding width
-    gives the answer a single run over all of 0..n-1 would give.
+    Compares one automata.RUN_BLOCK block of m at a time with f over that
+    block, so neither a table nor an arange of n is built.  The relation
+    is zero-normalized, so each block's own padding width gives the answer
+    a single run over all of 0..n-1 would give.
     """
-    from . import seqs
-
     for lo in range(0, n, au.RUN_BLOCK):
         ms = np.arange(lo, min(lo + au.RUN_BLOCK, n), dtype=np.int64)
-        got = accepts_number_pairs(phin, ms, seqs._vec_floor_phi(ms))
+        got = accepts_number_pairs(rel, ms, f(ms))
         if not bool(got.all()):
             return lo + int(np.flatnonzero(~got)[0])
     return None
@@ -367,18 +365,11 @@ def _first_floor_phi_miss(phin: Automaton, n: int) -> int | None:
 def _certify_beatty(cat: BuiltinCatalog, n: int) -> None:
     from . import seqs
 
-    ns = np.arange(n)
-    checks = {
-        "a007067": seqs.oracle("a007067").table(n),
-        "a007064": seqs.oracle("a007064").table(n),
-        "a004937": seqs.oracle("a004937").table(n),
-        "a003623": seqs.oracle("a003623").table(n),
-    }
-    for name, want in checks.items():
-        ok = accepts_number_pairs(cat[name], ns, want)
-        if not bool(ok.all()):
-            bad = int(np.flatnonzero(~ok)[0])
+    for name in ("a007067", "a007064", "a004937", "a003623"):
+        bad = _first_miss(cat[name], n, partial(seqs._beatty_batch, name))
+        if bad is not None:
             raise CatalogError(f"{name} disagrees with its oracle at n={bad}")
+    ns = np.arange(n)
     member = np.zeros(n, dtype=bool)
     vals = seqs.a035487_set(n)
     member[vals] = True

@@ -144,14 +144,11 @@ class Automaton:
     def accepts(self, word) -> bool:
         return int(self.outputs[self.run(word)]) == 1
 
-    def output_of(self, word) -> int:
-        return int(self.outputs[self.run(word)])
-
     def value_at(self, n: int) -> int:
         """DFAO value at n: output after reading encode(n) (arity 1 only)."""
         if self.arity != 1:
             raise ArityError("value_at needs an arity-1 automaton")
-        return self.output_of(numeration.encode(n))
+        return int(self.outputs[self.run(numeration.encode(n))])
 
     def accepts_numbers(self, *nums) -> bool:
         """Membership of a tuple of naturals, zero-padded to equal length."""
@@ -366,20 +363,16 @@ def complement(a: Automaton) -> Automaton:
 
 def _reachable_order(delta: np.ndarray, initial: int) -> np.ndarray:
     """States reachable from initial, in BFS discovery order (symbols ascending)."""
-    n = delta.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[initial] = True
-    order = [np.array([initial], dtype=np.int32)]
-    frontier = order[0]
-    while frontier.size:
-        succ = delta[frontier].ravel()  # row-major: state-major, symbol ascending
-        uniq, first = np.unique(succ, return_index=True)
-        uniq = uniq[np.argsort(first)]
-        fresh = uniq[~seen[uniq]]
-        seen[fresh] = True
-        order.append(fresh.astype(np.int32))
-        frontier = fresh
-    return np.concatenate(order)
+    rows = delta.tolist()
+    seen = bytearray(len(rows))
+    seen[initial] = 1
+    order = [initial]
+    for q in order:  # order grows while it is read: a queue
+        for r in rows[q]:
+            if not seen[r]:
+                seen[r] = 1
+                order.append(r)
+    return np.array(order, dtype=np.int32)
 
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:

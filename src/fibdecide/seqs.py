@@ -2,8 +2,8 @@
 
 These are the ground truth that automata are synthesized from and verified
 against.  Everything is exact integer arithmetic; tables are filled with
-vectorized numpy block recurrences and scalars fall back to the defining
-recurrences above the table.
+vectorized numpy block recurrences, and scalars and batches fall back to
+the defining recurrences above the table.
 
 Single letters like b, c, d are hopelessly overloaded across the related
 literature (b is both the lower Wythoff sequence and the ascending
@@ -15,6 +15,7 @@ ambiguous letters with a pointer to the candidates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -376,42 +377,83 @@ def d_comp(n: int) -> int:
     return nu.floor_phi2_half(an) - a(nu.floor_phi(n)) - an
 
 
-def _x_comp_table(n: int) -> np.ndarray:
-    bmax = int(nu.floor_phi(max(n, 1))) + 2
-    a = a105774_table(max(bmax, n) + 2)
-    ms = np.arange(n, dtype=np.int64)
-    b = _vec_floor_phi(ms)
-    return a[b] - _vec_floor_phi(a[ms])
+def _x_comp_batch(ms: np.ndarray) -> np.ndarray:
+    """x_comp at each m, from a105774's batch and the vector floor(phi m)."""
+    a = oracle("a105774").batch
+    return a(_vec_floor_phi(ms)) - _vec_floor_phi(a(ms))
 
 
-def _d_comp_table(n: int) -> np.ndarray:
-    bmax = int(nu.floor_phi(max(n, 1))) + 2
-    a = a105774_table(max(bmax, n) + 2)
-    ms = np.arange(n, dtype=np.int64)
-    an = a[ms]
-    c_of_a = (_vec_floor_phi(2 * an) + 2 * an + 1) // 2
-    return c_of_a - a[_vec_floor_phi(ms)] - an
+def _d_comp_batch(ms: np.ndarray) -> np.ndarray:
+    """d_comp at each m; floor(phi^2 v + 1/2) is (floor(2 phi v) + 2v + 1) // 2."""
+    a = oracle("a105774").batch
+    am = a(ms)
+    return (_vec_floor_phi(2 * am) + 2 * am + 1) // 2 - a(_vec_floor_phi(ms)) - am
+
+
+def _python_ints(scalar):
+    """Pointwise form of a scalar whose values leave int64: Python ints
+    in an object array."""
+    return lambda ms: np.array([scalar(m) for m in ms.tolist()], dtype=object)
+
+
+# -- defining steps for batch evaluation ----------------------------------------
+
+# F(0..92) and L(1..90): every term below 2**63
+_FIB_LADDER = np.array([nu.fib(j) for j in range(93)], dtype=np.int64)
+_LUCAS_LADDER = np.array([nu.lucas(j) for j in range(1, 91)], dtype=np.int64)
+
+
+def _ladder_step(x: int = 1, y: int = 1, ladder: np.ndarray = _FIB_LADDER):
+    """a(m) = R(j+1)*x - a(m - R(j))*y for R(j) < m <= R(j+1), over m >= 2,
+    where R(j), R(j+1) are the neighbours of m in the ladder (Fibonacci
+    for a105774 and a_xy, Lucas from j = 1 for lucas_variant).
+
+    The bracket is looked up again after the recursion, so no array of j
+    stays alive while it runs."""
+
+    def step(a, m):
+        below = a(m - ladder[np.searchsorted(ladder, m) - 1])
+        return ladder[np.searchsorted(ladder, m)] * x - below * y
+
+    return step
+
+
+def _nested_step(b, m):
+    """b(m) = F(j+1) - b(b(m - F(j))) for F(j) < m <= F(j+1), over m >= 2."""
+    below = b(b(m - _FIB_LADDER[np.searchsorted(_FIB_LADDER, m) - 1]))
+    return _FIB_LADDER[np.searchsorted(_FIB_LADDER, m)] - below
 
 
 # -- oracle registry -------------------------------------------------------------
 
 
+# batch reads arguments below this from the table and fills the table no
+# further; larger arguments take the oracle's defining step
+_BATCH_TABLE = 1 << 15
+# the int64 oracles stay below 8 (m + 1), so below this their values and
+# the steps' products fit int64
+_BATCH_MAX = 1 << 56
+
+
 class SequenceOracle:
     """Named exact evaluator with a cached vectorized table.
 
-    `cheap_scalar` marks oracles whose defining recursion evaluates any
-    single argument quickly (the recurrences descend by a golden-ratio
-    factor per step); those support :meth:`batch` on arbitrary arguments,
-    which lets learners observe exact values at any depth.  Oracles whose
-    scalar needs a table scan (sorted rearrangement, occurrence counts)
+    `step(answer, ms)` is the oracle's defining step over an array of
+    arguments past the table (each >= 2); `answer` evaluates the smaller
+    arguments the step recurses on.  Oracles with a step support
+    :meth:`batch` on arbitrary arguments (`cheap_scalar`), which lets
+    learners observe exact values at any depth; the recurrences descend
+    by a golden-ratio factor per step.  Oracles whose scalar needs a
+    table scan (sorted rearrangement, occurrence counts) have no step and
     only answer inside their table.
     """
 
-    def __init__(self, name: str, scalar, table_fn=None, cheap_scalar=True):
+    def __init__(self, name: str, scalar, table_fn, step=None):
         self.name = name
         self._scalar = scalar
         self._table_fn = table_fn
-        self.cheap_scalar = cheap_scalar
+        self._step = step
+        self.cheap_scalar = step is not None
         self._table: np.ndarray | None = None
         self._view = memoryview(b"")  # the table, read as Python ints
 
@@ -426,102 +468,103 @@ class SequenceOracle:
         if self._table is None or len(self._table) < n:
             # let go of the old table first, so a regrow never holds both
             self._table, self._view = None, memoryview(b"")
-            if self._table_fn is not None:
-                self._table = np.asarray(self._table_fn(n), dtype=np.int64)
+            t = np.asarray(self._table_fn(n))
+            if t.dtype == object:  # Python ints: s and t leave int64 past n = 92
+                self._table, self._view = t, t.tolist()
+            else:
+                self._table = t.astype(np.int64, copy=False)
                 self._view = memoryview(self._table)
-            else:  # Python ints: s and t leave int64 past n = 92
-                self._table = np.array([self._scalar(i) for i in range(n)], dtype=object)
-                self._view = self._table.tolist()
         return self._table[:n]
 
     def batch(self, ns: np.ndarray) -> np.ndarray:
         """Exact values at arbitrary arguments (needs cheap_scalar), in
-        the dtype of the table."""
+        the dtype of the table.  The table is filled to at most
+        _BATCH_TABLE entries; arguments past it take the defining step."""
         if not self.cheap_scalar:
             raise ValueError(f"{self.name} cannot evaluate arbitrary arguments")
         ns = np.ascontiguousarray(ns, dtype=np.int64)
-        if ns.size and int(ns.min()) < 0:
-            raise ValueError(f"{self.name} is defined for n >= 0, got {int(ns.min())}")
-        hi = int(ns.max()) + 1 if ns.size else 0
-        cap = 1 << 21
-        if self._table is None or len(self._table) < min(hi, cap):
-            self.table(min(max(hi, 2), cap))
+        hi = 0
+        if ns.size:
+            if int(ns.min()) < 0:
+                raise ValueError(f"{self.name} is defined for n >= 0, got {int(ns.min())}")
+            hi = int(ns.max()) + 1
+            if hi > _BATCH_MAX:
+                raise OverflowError(f"{self.name} batch needs arguments below 2**56, got {hi - 1}")
+        need = min(hi, _BATCH_TABLE)
+        if self._table is None or len(self._table) < need:
+            self.table(need)
+        return self._answer(ns)
+
+    def _answer(self, ns: np.ndarray) -> np.ndarray:
         t = self._table
-        out = np.empty(ns.size, dtype=t.dtype)
-        small = ns < len(t)
-        out[small] = t[ns[small]]
-        for i in np.flatnonzero(~small):
-            out[i] = self._scalar(int(ns[i]))
+        past = ns >= len(t)
+        if not past.any():
+            return t[ns]
+        got = self._step(self._answer, ns[past])
+        out = t[np.where(past, 0, ns)]
+        out[past] = got
         return out
 
     def __repr__(self):
         return f"<SequenceOracle {self.name}>"
 
 
+def _pointwise(name: str, scalar, fn) -> SequenceOracle:
+    """An oracle whose vector form fn is exact at any argument: its table
+    is fn over 0..n-1, and its step is fn itself."""
+    return SequenceOracle(name, scalar, lambda n: fn(np.arange(n)), lambda _, ms: fn(ms))
+
+
 _REGISTRY = {
-    "a105774": lambda: SequenceOracle("a105774", a105774, a105774_table),
+    "a105774": lambda: SequenceOracle("a105774", a105774, a105774_table, _ladder_step()),
     "axy_2_1": lambda: SequenceOracle(
-        "axy_2_1", lambda m: a_xy(2, 1, m), lambda n: a_xy_table(2, 1, n)
+        "axy_2_1", lambda m: a_xy(2, 1, m), lambda n: a_xy_table(2, 1, n), _ladder_step(2, 1)
     ),
     "axy_3_2": lambda: SequenceOracle(
-        "axy_3_2", lambda m: a_xy(3, 2, m), lambda n: a_xy_table(3, 2, n)
+        "axy_3_2", lambda m: a_xy(3, 2, m), lambda n: a_xy_table(3, 2, n), _ladder_step(3, 2)
     ),
-    "nested": lambda: SequenceOracle("nested", nested_b, nested_b_table),
+    "nested": lambda: SequenceOracle("nested", nested_b, nested_b_table, _nested_step),
     "lucas_variant": lambda: SequenceOracle(
-        "lucas_variant", lucas_variant, lucas_variant_table
+        "lucas_variant", lucas_variant, lucas_variant_table, _ladder_step(ladder=_LUCAS_LADDER)
     ),
-    "count": lambda: SequenceOracle("count", count_c, count_c_table, cheap_scalar=False),
-    "p0": lambda: SequenceOracle(
-        "p0",
-        lambda m: position_value("p0", m),
-        lambda n: _positions_batch("p0", np.arange(n)),
+    "count": lambda: SequenceOracle("count", count_c, count_c_table),
+    "p0": lambda: _pointwise(
+        "p0", partial(position_value, "p0"), partial(_positions_batch, "p0")
     ),
-    "p1": lambda: SequenceOracle(
-        "p1",
-        lambda m: position_value("p1", m),
-        lambda n: _positions_batch("p1", np.arange(n)),
+    "p1": lambda: _pointwise(
+        "p1", partial(position_value, "p1"), partial(_positions_batch, "p1")
     ),
-    "p2": lambda: SequenceOracle(
-        "p2",
-        lambda m: position_value("p2", m),
-        lambda n: _positions_batch("p2", np.arange(n)),
+    "p2": lambda: _pointwise(
+        "p2", partial(position_value, "p2"), partial(_positions_batch, "p2")
     ),
     "sorted": lambda: SequenceOracle(
-        "sorted", lambda m: int(sorted_values(m + 1)[m]), sorted_values, cheap_scalar=False
+        "sorted", lambda m: int(sorted_values(m + 1)[m]), sorted_values
     ),
     "distinct": lambda: SequenceOracle(
-        "distinct", lambda m: int(distinct_transform(m + 1)[m]), distinct_transform, cheap_scalar=False
+        "distinct", lambda m: int(distinct_transform(m + 1)[m]), distinct_transform
     ),
     "run_lengths": lambda: SequenceOracle(
-        "run_lengths", lambda m: int(run_lengths(m + 1)[m]), run_lengths, cheap_scalar=False
+        "run_lengths", lambda m: int(run_lengths(m + 1)[m]), run_lengths
     ),
-    "w": lambda: SequenceOracle("w", w, w_table, cheap_scalar=False),
-    "phi": lambda: SequenceOracle(
-        "phi", nu.floor_phi, lambda n: _beatty_batch("phi", np.arange(n))
+    "w": lambda: SequenceOracle("w", w, w_table),
+    "phi": lambda: _pointwise("phi", nu.floor_phi, partial(_beatty_batch, "phi")),
+    "phi2": lambda: _pointwise("phi2", nu.floor_phi2, partial(_beatty_batch, "phi2")),
+    "a007067": lambda: _pointwise("a007067", nu.floor_phi_half, partial(_beatty_batch, "a007067")),
+    "a004937": lambda: _pointwise(
+        "a004937", nu.floor_phi2_half, partial(_beatty_batch, "a004937")
     ),
-    "phi2": lambda: SequenceOracle(
-        "phi2", nu.floor_phi2, lambda n: _beatty_batch("phi2", np.arange(n))
-    ),
-    "a007067": lambda: SequenceOracle(
-        "a007067", nu.floor_phi_half, lambda n: _beatty_batch("a007067", np.arange(n))
-    ),
-    "a004937": lambda: SequenceOracle(
-        "a004937", nu.floor_phi2_half, lambda n: _beatty_batch("a004937", np.arange(n))
-    ),
-    "a007064": lambda: SequenceOracle(
+    "a007064": lambda: _pointwise(
         "a007064",
         lambda m: m + 1 + nu.floor_phi(2 * m + 1) // 2,
-        lambda n: _beatty_batch("a007064", np.arange(n)),
+        partial(_beatty_batch, "a007064"),
     ),
-    "a003623": lambda: SequenceOracle(
-        "a003623",
-        lambda m: nu.floor_phi(nu.floor_phi2(m)),
-        lambda n: _beatty_batch("a003623", np.arange(n)),
+    "a003623": lambda: _pointwise(
+        "a003623", lambda m: nu.floor_phi(nu.floor_phi2(m)), partial(_beatty_batch, "a003623")
     ),
-    "x_comp": lambda: SequenceOracle("x_comp", x_comp, _x_comp_table),
-    "d_comp": lambda: SequenceOracle("d_comp", d_comp, _d_comp_table),
-    "s": lambda: SequenceOracle("s", s_value),
-    "t": lambda: SequenceOracle("t", t_value),
+    "x_comp": lambda: _pointwise("x_comp", x_comp, _x_comp_batch),
+    "d_comp": lambda: _pointwise("d_comp", d_comp, _d_comp_batch),
+    "s": lambda: _pointwise("s", s_value, _python_ints(s_value)),
+    "t": lambda: _pointwise("t", t_value, _python_ints(t_value)),
 }
 
 ORACLE_NAMES = sorted(_REGISTRY)

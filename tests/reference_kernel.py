@@ -1,8 +1,9 @@
 """Kernel paths that the package replaced, kept as differential references:
-the Zeckendorf digit matrix that batch membership used to read, and the
+the Zeckendorf digit matrix that batch membership used to read, the
 two-pass projection (a subset construction from the pad closure of the
-start, then a second one that zero-normalizes its result).  Not used by
-the package."""
+start, then a second one that zero-normalizes its result) and the BFS
+that numbered reachable states one layer at a time.  Not used by the
+package."""
 
 import numpy as np
 
@@ -90,3 +91,21 @@ def project(a, track):
     ]
     rows, outs, _ = au._subsets([seed], succ, set(np.flatnonzero(acc).tolist()))
     return zero_normalize(au.Automaton(a.arity - 1, rows, outs))
+
+
+def reachable_order(delta, initial):
+    """States reachable from initial, in BFS discovery order (symbols
+    ascending), one np.unique pass per BFS layer."""
+    seen = np.zeros(delta.shape[0], dtype=bool)
+    seen[initial] = True
+    order = [np.array([initial], dtype=np.int32)]
+    frontier = order[0]
+    while frontier.size:
+        succ = delta[frontier].ravel()  # row-major: state-major, symbol ascending
+        uniq, first = np.unique(succ, return_index=True)
+        uniq = uniq[np.argsort(first)]
+        fresh = uniq[~seen[uniq]]
+        seen[fresh] = True
+        order.append(fresh.astype(np.int32))
+        frontier = fresh
+    return np.concatenate(order)

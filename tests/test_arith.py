@@ -8,6 +8,7 @@ from fibdecide import arith
 from fibdecide import automata as au
 from fibdecide import logic
 from fibdecide import numeration as nu
+from fibdecide import seqs
 
 import reference_chain
 
@@ -337,7 +338,7 @@ def test_phin_check_names_the_first_wrong_n(catalog, monkeypatch):
     monkeypatch.setattr(au, "RUN_BLOCK", 4)
     phin = catalog["phin"]
     n = 64
-    assert arith._first_floor_phi_miss(phin, n) is None
+    assert arith._first_miss(phin, n, seqs._vec_floor_phi) is None
     ns = np.arange(n)
     want_vals = np.array([nu.floor_phi(int(m)) for m in ns])
     misses = set()
@@ -348,8 +349,41 @@ def test_phin_check_names_the_first_wrong_n(catalog, monkeypatch):
             mutant = au.zero_normalize(au.Automaton(2, delta, phin.outputs, phin.initial))
             ok = arith.accepts_number_pairs(mutant, ns, want_vals)
             want = None if ok.all() else int(np.flatnonzero(~ok)[0])
-            assert arith._first_floor_phi_miss(mutant, n) == want
+            assert arith._first_miss(mutant, n, seqs._vec_floor_phi) == want
             misses.add(want)
+    assert max(m for m in misses if m is not None) >= 8
+
+
+def _first_beatty_miss(cat, n):
+    """The first bad n _certify_beatty names, or None when it passes."""
+    try:
+        arith._certify_beatty(cat, n)
+    except arith.CatalogError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["a007067", "a007064", "a004937", "a003623"])
+def test_beatty_check_names_the_first_wrong_n(catalog, monkeypatch, name):
+    # as for phin: each mutant redirects one transition to the next state,
+    # and the block-wise check must name the first miss of a full-range run
+    monkeypatch.setattr(au, "RUN_BLOCK", 4)
+    rel = catalog[name]
+    n = 64
+    assert rel.zero_normalized and _first_beatty_miss(catalog, n) is None
+    ns = np.arange(n)
+    want_vals = seqs._beatty_batch(name, ns)
+    misses = set()
+    for q in range(rel.n_states):
+        for sym in range(4):
+            delta = rel.delta.copy()
+            delta[q, sym] = (delta[q, sym] + 1) % rel.n_states
+            mutant = au.zero_normalize(au.Automaton(2, delta, rel.outputs, rel.initial))
+            ok = arith.accepts_number_pairs(mutant, ns, want_vals)
+            bad = None if ok.all() else int(np.flatnonzero(~ok)[0])
+            want = None if bad is None else f"{name} disagrees with its oracle at n={bad}"
+            assert _first_beatty_miss({**catalog, name: mutant}, n) == want
+            misses.add(bad)
     assert max(m for m in misses if m is not None) >= 8
 
 

@@ -674,3 +674,20 @@ def test_moore_partition_matches_reference(arity):
         a = au.Automaton(arity, delta, outputs, 0)
         m, r = au.minimize(a), au.minimize(_reachable_part(a))
         assert np.array_equal(m.delta, r.delta) and np.array_equal(m.outputs, r.outputs), trial
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+def test_reachable_order_matches_layered_reference(arity):
+    """Seeded transition tables, some with states no path reaches, from
+    every start state."""
+    rng = np.random.default_rng(arity + 301)
+    S = 1 << arity
+    for trial in range(40):
+        live, dead = int(rng.integers(1, 40)), int(rng.integers(0, 8))
+        n = live + dead
+        delta = np.vstack([rng.integers(0, live, (live, S)), rng.integers(0, n, (dead, S))])
+        delta = delta.astype(np.int32)
+        for start in range(n):
+            got = au._reachable_order(delta, start)
+            want = reference_kernel.reachable_order(delta, start)
+            assert got.dtype == np.int32 and got.tolist() == want.tolist(), (trial, start)

@@ -74,8 +74,8 @@ def test_a105774_large_arguments_match_recursion():
 
 def test_compositions_do_not_depend_on_cache(monkeypatch):
     n = 5000
-    want_x = [int(v) for v in seqs._x_comp_table(n)[1:]]
-    want_d = [int(v) for v in seqs._d_comp_table(n)[1:]]
+    want_x = [int(v) for v in seqs._x_comp_batch(np.arange(n))[1:]]
+    want_d = [int(v) for v in seqs._d_comp_batch(np.arange(n))[1:]]
     monkeypatch.setattr(seqs, "_CACHE", {})
     assert [seqs.x_comp(m) for m in range(1, n)] == want_x
     assert [seqs.d_comp(m) for m in range(1, n)] == want_d
@@ -298,6 +298,52 @@ def test_s_and_t_tables_and_batches_stay_exact_past_int64(monkeypatch, name, val
     assert orc.value(100) == value(100) == orc.batch(np.array([100]))[0]
 
 
+_CHEAP = [n for n in seqs.ORACLE_NAMES if seqs.oracle(n).cheap_scalar]
+_BEATTY = {"phi", "phi2", "a007067", "a004937", "a007064", "a003623", "p0", "p1", "p2"}
+
+
+def _batch_arguments(name, rng):
+    """Seeded arguments: inside the table, just past its bound, past 2**21
+    and, for the Beatty oracles, past the float path of floor(phi m)."""
+    if name in ("s", "t"):  # each value is a(F(n)) or a(L(n)), n digits long
+        return rng.integers(0, 120, 60)
+    bound = seqs._BATCH_TABLE
+    # nested calls itself twice per step, so its cost grows with the argument
+    top = 1 << 28 if name == "nested" else 1 << 40
+    parts = [
+        rng.integers(0, bound, 200),
+        bound + rng.integers(0, 64, 60),
+        rng.integers(1 << 21, top, 200),
+    ]
+    if name in _BEATTY:
+        parts.append(seqs._VEC_PHI_MAX + rng.integers(1, 1 << 20, 40))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["bound", "bound64"])
+@pytest.mark.parametrize("name", _CHEAP)
+def test_batch_equals_scalar_cold_and_warm(monkeypatch, name, small):
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    if small:  # more steps per argument, and s and t take theirs too
+        monkeypatch.setattr(seqs, "_BATCH_TABLE", 64)
+    orc = seqs.oracle(name)
+    ns = _batch_arguments(name, np.random.default_rng(18))
+    want = [orc._scalar(int(m)) for m in ns]
+    assert orc.batch(ns).tolist() == want, "cold"
+    assert len(orc._table) <= seqs._BATCH_TABLE
+    assert orc.batch(ns[::-1]).tolist() == want[::-1], "warm"
+    prefix = 120 if name in ("s", "t") else 5000
+    assert orc.batch(np.arange(prefix)).tolist() == orc.table(prefix).tolist()
+    if name not in ("s", "t"):
+        orc.table(seqs._BATCH_TABLE + 5000)  # a caller's table past the bound
+        assert orc.batch(ns).tolist() == want, "past a table from table(n)"
+
+
+def test_batch_rejects_arguments_past_int64_range():
+    with pytest.raises(OverflowError, match="below 2\\*\\*56"):
+        seqs.oracle("a105774").batch(np.array([3, 1 << 56]))
+
+
 def test_beatty_oracles_vs_scalars():
     for name, fn in [
         ("a007067", nu.floor_phi_half),
@@ -343,3 +389,17 @@ def test_oracle_regrow_never_holds_both_tables():
     (old, new), peak = _traced_peak(regrow)
     assert peak < old + new
     assert orc.value(999_999) == seqs.lucas_variant(999_999)
+
+
+def test_batch_past_the_bound_keeps_a_bounded_table(monkeypatch):
+    """The learner asks lucas_variant for arguments past 1.5 million; a
+    cold batch over them fills no table past the bound."""
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    orc = seqs.oracle("lucas_variant")
+    ns = np.random.default_rng(7).integers(0, 1_600_000, 60_000)
+    ns[0] = 1_599_999
+    got, peak = _traced_peak(lambda: orc.batch(ns))
+    assert len(orc._table) <= seqs._BATCH_TABLE
+    assert peak < 4 * 2**20
+    for i in range(0, ns.size, 997):
+        assert got[i] == seqs.lucas_variant(int(ns[i]))

@@ -40,7 +40,7 @@ def test_guess_dfa_budget_exhaustion(monkeypatch):
 
 
 def test_guess_synchronized_identity():
-    ident = seqs.SequenceOracle("ident", lambda n: n, lambda n: np.arange(n))
+    ident = seqs.SequenceOracle("ident", lambda n: n, lambda n: np.arange(n), lambda _, ms: ms)
     learned = synth.guess_synchronized(ident, 4096)
     assert au.equivalent(learned, arith.eq())
 
