@@ -2,7 +2,8 @@
 oracle tables, and DOT export.
 
 Exit codes are a stable contract: 0 all queries TRUE / checks passed,
-1 some query FALSE or check failed, 2 usage or parse errors.
+1 some query FALSE or check failed (a failed certification included),
+2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -92,13 +93,18 @@ def _progress(args):
 
 
 def _schedule(text):
-    return tuple(int(x) for x in text.split(","))
+    """The sample counts of --schedule, or None unless each is positive."""
+    try:
+        counts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        return None
+    return counts if min(counts) > 0 else None
 
 
 def cmd_run(args) -> int:
     path = Path(args.script)
     if not path.exists():
-        print(f"no such script: {path}", file=sys.stderr)
+        print(f"error: no such script: {path}", file=sys.stderr)
         return 2
     catalog = _build_catalog(args)
     session = logic.Session(catalog)
@@ -146,12 +152,17 @@ def cmd_repl(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    schedule = _schedule(args.schedule)
+    if schedule is None:
+        print(f"error: --schedule needs positive sample counts separated by commas,"
+              f" got {args.schedule!r}", file=sys.stderr)
+        return 2
     store = Store(args.store)
     if args.rebuild:
         for p in store.root.glob("*.aut"):
             p.unlink()
     run = repro.Reproduction(
-        schedule=_schedule(args.schedule),
+        schedule=schedule,
         seed=args.seed,
         progress=_progress(args),
         store=store,
@@ -187,7 +198,7 @@ def cmd_export_dot(args) -> int:
     store = Store(args.store)
     aut = store.load(args.name)
     if aut is None:
-        print(f"no automaton named {args.name!r} in {store.root}", file=sys.stderr)
+        print(f"error: no automaton named {args.name!r} in {store.root}", file=sys.stderr)
         return 2
     Path(args.file).write_text(au.export_dot(aut, args.name))
     return 0
@@ -242,6 +253,9 @@ def main(argv=None) -> int:
     except (logic.ParseError, logic.CompileError, au.AutomatonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except arith.CatalogError as exc:  # a certification failed: a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -334,7 +334,7 @@ class Reproduction:
         step(11, "carlitz_constants", self._c11_carlitz)
         step(11, "carlitz_main_identity", self._c11_main)
         step(12, "automata_algebra_laws", lambda: automata_algebra_laws(self.seed))
-        step(12, "learner_roundtrip", lambda: learner_roundtrip(self.seed))
+        step(12, "learner_roundtrip", lambda: learner_roundtrip(self.seed, self.catalog))
         step(12, "linrep_padding_stability", lambda: linrep_padding_stability(
             self.relations["a105774"]))
         step(12, "engine_soundness", lambda: engine_soundness(self.seed, self.catalog))
@@ -552,8 +552,8 @@ def _fixed_points(limit):
 # randomized property suites (criterion 12)
 
 
-def _random_automaton(rng, arity, max_states=6):
-    n = rng.randrange(1, max_states + 1)
+def _random_automaton(rng, arity):
+    n = rng.randrange(1, 7)
     S = 1 << arity
     delta = np.array(
         [[rng.randrange(n) for _ in range(S)] for _ in range(n)], dtype=np.int32
@@ -611,19 +611,37 @@ def automata_algebra_laws(seed):
     return True, "25 randomized trials"
 
 
-def learner_roundtrip(seed):
+def learner_roundtrip(seed, catalog):
+    """guess_synchronized on random synchronized functions, each compared
+    with the relation the session compiles from its formula.  Odd trials
+    give the learner an exact oracle (a defining step), even ones a
+    table-only oracle, whose entries past the sample are UNKNOWN."""
     rng = random.Random(seed)
+    session = logic.Session(catalog)
+    sizes = []
     for trial in range(12):
-        k = rng.randrange(2, 9)
-        target = au.minimize(_random_automaton(rng, 1, max_states=k))
-        member = lambda w: target.accepts(list(w))
-        learned = synth.guess_dfa(
-            member, 1, bound=2 * target.n_states + 6,
-            suffix_len=min(target.n_states + 1, 8),
+        a, b, c = rng.randint(1, 3), rng.randrange(6), rng.randint(1, 3)
+        if rng.random() < 0.5:
+            text = f"z=({a}*n+{b})/{c}"
+            f = lambda ms: (a * ms + b) // c
+        else:
+            text = f"Ex $phin(n,x) & z=({a}*x+{b})/{c}"
+            f = lambda ms: (a * seqs._vec_floor_phi(ms) + b) // c
+        oracle = seqs.SequenceOracle(
+            text, lambda m: int(f(np.array([m]))[0]), lambda n: f(np.arange(n)),
+            (lambda _, ms: f(ms)) if trial % 2 else None,
         )
-        if not au.equivalent(learned, target):
-            return False, f"roundtrip failed for a {target.n_states}-state DFA"
-    return True, "12 random DFAs with up to 8 states recovered"
+        try:
+            learned = synth.guess_synchronized(oracle, 4096)
+        except synth.SynthesisError as exc:
+            return False, f"learning failed for {text}: {exc}"
+        if not au.equivalent(learned, session.compile(text).aut):
+            return False, f"learned relation differs from {text}"
+        sizes.append(learned.n_states)
+    return True, (
+        f"12 random synchronized functions learned exactly, half from table-only"
+        f" oracles ({min(sizes)} to {max(sizes)} states)"
+    )
 
 
 def linrep_padding_stability(rel):

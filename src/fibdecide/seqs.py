@@ -55,6 +55,13 @@ __all__ = [
 ]
 
 
+def _natural(name: str, n: int) -> int:
+    """n itself; a negative argument or count raises ValueError."""
+    if n < 0:
+        raise ValueError(f"{name} is defined for n >= 0, got {n}")
+    return n
+
+
 # -- core recurrence tables -------------------------------------------------
 
 
@@ -65,16 +72,16 @@ def a105774_table(n: int) -> np.ndarray:
     Fibonacci block at a time, each block depending only on earlier
     entries, so every block is a single vector operation.
     """
-    return a_xy_table(1, 1, n)
+    return a_xy_table(1, 1, _natural("a105774_table", n))
 
 
 def a105774(m: int) -> int:
-    return a_xy(1, 1, m)
+    return a_xy(1, 1, _natural("a105774", m))
 
 
 def a_xy_table(x: int, y: int, n: int) -> np.ndarray:
     """Generalized recurrence a(m) = F(j+1)*x - a(m - F(j))*y."""
-    a = np.zeros(max(n, 2), dtype=np.int64)
+    a = np.zeros(max(_natural("a_xy_table", n), 2), dtype=np.int64)
     a[1] = 1
     j = 2
     while nu.fib(j) + 1 < n:
@@ -89,6 +96,7 @@ def a_xy_table(x: int, y: int, n: int) -> np.ndarray:
 def a_xy(x: int, y: int, m: int) -> int:
     """Scalar a(m) of a_xy_table, unrolled: each step adds coef * F(j+1) * x
     and multiplies coef by -y, until m reaches the base cases a(0)=0, a(1)=1."""
+    _natural("a_xy", m)
     total, coef = 0, 1
     while m > 1:
         j = nu.fib_bracket(m)
@@ -100,7 +108,7 @@ def a_xy(x: int, y: int, m: int) -> int:
 
 def nested_b_table(n: int) -> np.ndarray:
     """Nested variant b(m) = F(j+1) - b(b(m - F(j)))."""
-    b = np.zeros(max(n, 2), dtype=np.int64)
+    b = np.zeros(max(_natural("nested_b_table", n), 2), dtype=np.int64)
     b[1] = 1
     j = 2
     while nu.fib(j) + 1 < n:
@@ -116,7 +124,7 @@ def nested_b_table(n: int) -> np.ndarray:
 
 
 def nested_b(m: int) -> int:
-    if m <= 1:
+    if _natural("nested_b", m) <= 1:
         return m
     j = nu.fib_bracket(m)
     return nu.fib(j + 1) - nested_b(nested_b(m - nu.fib(j)))
@@ -132,7 +140,7 @@ def lucas_variant_table(n: int) -> np.ndarray:
     convention is pinned by the committed prefix fixture
     LUCAS_VARIANT_PREFIX.
     """
-    a = np.zeros(max(n, 4), dtype=np.int64)
+    a = np.zeros(max(_natural("lucas_variant_table", n), 4), dtype=np.int64)
     a[1] = 1
     a[2] = nu.lucas(2) - a[1]
     a[3] = nu.lucas(2) - a[2]
@@ -147,7 +155,7 @@ def lucas_variant_table(n: int) -> np.ndarray:
 
 
 def lucas_variant(m: int) -> int:
-    if m <= 1:
+    if _natural("lucas_variant", m) <= 1:
         return m
     j = 1
     while not (nu.lucas(j) < m <= nu.lucas(j + 1)):
@@ -215,7 +223,7 @@ def _vec_floor_phi(m: np.ndarray) -> np.ndarray:
 
 def a035487_set(limit: int) -> np.ndarray:
     """Members below `limit`: a007067 applied to the values of a007064."""
-    ms = np.arange(limit, dtype=np.int64)
+    ms = np.arange(_natural("a035487_set", limit), dtype=np.int64)
     base = _beatty_batch("a007064", ms)
     vals = _beatty_batch("a007067", base)
     return np.unique(vals[vals < limit])
@@ -230,14 +238,14 @@ def count_c_table(n: int) -> np.ndarray:
     Every occurrence of v sits at a position <= 3v + 3 (the lower bound
     floor((phi+2)m/5) <= a(m) forces it), so one table scan suffices.
     """
-    window = 3 * n + 4
+    window = 3 * _natural("count_c_table", n) + 4
     a = a105774_table(window)
     counts = np.bincount(a, minlength=max(n, 1))
     return counts[:n].astype(np.int64)
 
 
 def count_c(v: int) -> int:
-    window = 3 * v + 4
+    window = 3 * _natural("count_c", v) + 4
     a = a105774_table(window)
     c = int(np.count_nonzero(a == v))
     if c > 2:
@@ -248,7 +256,7 @@ def count_c(v: int) -> int:
 def positions(kind: str, n: int) -> list[int]:
     """First n indices (0-based) where the count sequence equals 0, 1 or 2."""
     target = {"p0": 0, "p1": 1, "p2": 2}[kind]
-    limit = 8 * n + 32
+    limit = 8 * _natural("positions", n) + 32
     c = count_c_table(limit)
     idx = np.flatnonzero(c == target)[:n]
     if idx.size < n:
@@ -262,6 +270,7 @@ def position_value(kind: str, m: int) -> int:
     p0(m) = floor(phi^2 (m+1) + 1/2); p2(m) = m + 1 + floor(floor(phi(2m+1))/2);
     p1(0) = 0 and p1(m) = floor(phi p2(m-1) + 1/2) for m >= 1.
     """
+    _natural("position_value", m)
     if kind == "p0":
         return nu.floor_phi2_half(m + 1)
     if kind == "p2":
@@ -293,14 +302,14 @@ def sorted_values(n: int) -> np.ndarray:
     (steps of the sorted sequence are at most 2, occurrences of v stop by
     3v + 3).
     """
-    window = 6 * n + 10
+    window = 6 * _natural("sorted_values", n) + 10
     a = a105774_table(window)
     return np.sort(a)[:n]
 
 
 def distinct_transform(n: int) -> np.ndarray:
     """First n values in order of first appearance."""
-    window = 8 * n + 32
+    window = 8 * _natural("distinct_transform", n) + 32
     a = a105774_table(window)
     _, first = np.unique(a, return_index=True)
     order = np.sort(first)
@@ -311,7 +320,7 @@ def distinct_transform(n: int) -> np.ndarray:
 
 def run_lengths(n: int) -> np.ndarray:
     """Lengths of the first n maximal blocks of equal consecutive values."""
-    window = 4 * n + 32
+    window = 4 * _natural("run_lengths", n) + 32
     a = a105774_table(window)
     breaks = np.flatnonzero(np.diff(a) != 0)
     if breaks.size < n + 1:
@@ -322,14 +331,14 @@ def run_lengths(n: int) -> np.ndarray:
 
 def w_table(n: int) -> np.ndarray:
     """w(m) = least index i with a(i) >= m, for m = 0..n-1."""
-    window = 3 * n + 8
+    window = 3 * _natural("w_table", n) + 8
     a = a105774_table(window)
     runmax = np.maximum.accumulate(a)
     return np.searchsorted(runmax, np.arange(n), side="left").astype(np.int64)
 
 
 def w(m: int) -> int:
-    return int(w_table(m + 1)[m])
+    return int(w_table(_natural("w", m) + 1)[m])
 
 
 # -- special values and closed forms ------------------------------------------
@@ -337,17 +346,17 @@ def w(m: int) -> int:
 
 def s_value(n: int) -> int:
     """a at the n-th Fibonacci number."""
-    return a105774(nu.fib(n))
+    return a105774(nu.fib(_natural("s_value", n)))
 
 
 def t_value(n: int) -> int:
     """a at the n-th Lucas number."""
-    return a105774(nu.lucas(n))
+    return a105774(nu.lucas(_natural("t_value", n)))
 
 
 def s_closed(n: int) -> Fraction:
     """Exact rational closed form for a(F(n)); matches s_value for n >= 0."""
-    base = Fraction(nu.lucas(n), 10) + Fraction(nu.fib(n), 2)
+    base = Fraction(nu.lucas(_natural("s_closed", n)), 10) + Fraction(nu.fib(n), 2)
     if n % 2 == 0:
         return base - Fraction(1, 5) * (-1) ** (n // 2)
     return base + Fraction(2, 5) * (-1) ** ((n - 1) // 2)
@@ -355,7 +364,7 @@ def s_closed(n: int) -> Fraction:
 
 def t_closed(n: int) -> Fraction:
     """Exact rational closed form for a(L(n)); valid for n >= 2."""
-    base = Fraction(3 * nu.lucas(n), 10) + Fraction(3 * nu.fib(n), 2)
+    base = Fraction(3 * nu.lucas(_natural("t_closed", n)), 10) + Fraction(3 * nu.fib(n), 2)
     if n % 2 == 0:
         return base + Fraction(2, 5) * (-1) ** (n // 2)
     return base + Fraction(1, 5) * (-1) ** ((n - 1) // 2)
@@ -367,13 +376,13 @@ def t_closed(n: int) -> Fraction:
 def x_comp(n: int) -> int:
     """a(floor(phi n)) - floor(phi a(n)); defined for n >= 1."""
     a = oracle("a105774").value
-    return a(nu.floor_phi(n)) - nu.floor_phi(a(n))
+    return a(nu.floor_phi(_natural("x_comp", n))) - nu.floor_phi(a(n))
 
 
 def d_comp(n: int) -> int:
     """floor(phi^2 a(n) + 1/2) - a(floor(phi n)) - a(n)."""
     a = oracle("a105774").value
-    an = a(n)
+    an = a(_natural("d_comp", n))
     return nu.floor_phi2_half(an) - a(nu.floor_phi(n)) - an
 
 
@@ -465,6 +474,7 @@ class SequenceOracle:
         return int(self._scalar(n))
 
     def table(self, n: int) -> np.ndarray:
+        _natural(self.name, n)
         if self._table is None or len(self._table) < n:
             # let go of the old table first, so a regrow never holds both
             self._table, self._view = None, memoryview(b"")
@@ -485,8 +495,7 @@ class SequenceOracle:
         ns = np.ascontiguousarray(ns, dtype=np.int64)
         hi = 0
         if ns.size:
-            if int(ns.min()) < 0:
-                raise ValueError(f"{self.name} is defined for n >= 0, got {int(ns.min())}")
+            _natural(self.name, int(ns.min()))
             hi = int(ns.max()) + 1
             if hi > _BATCH_MAX:
                 raise OverflowError(f"{self.name} batch needs arguments below 2**56, got {hi - 1}")

@@ -1,4 +1,4 @@
-"""Guess-and-check synthesis of automata from finite oracle data.
+"""Guess-and-check synthesis of synchronized automata from finite oracle data.
 
 The learner builds an observation table over (prefix, suffix) pairs with
 three-valued entries: accept, reject, or unknown.  Unknown entries appear
@@ -31,7 +31,6 @@ __all__ = [
     "BoundExhausted",
     "InconsistencyError",
     "ObservationTable",
-    "guess_dfa",
     "guess_synchronized",
     "Verdict",
     "SynthesisReport",
@@ -46,9 +45,8 @@ __all__ = [
 UNKNOWN = 2
 DEFAULT_SCHEDULE = (4096, 16384, 65536, 262144)
 
-# learner budgets: table states for guess_dfa and guess_synchronized, and
-# the replay rounds guess_synchronized spends repairing premature merges
-_DFA_MAX_STATES = 512
+# learner budgets: table states, and the replay rounds spent repairing
+# premature merges
 _PAIR_MAX_STATES = 1024
 _REPLAY_ROUNDS = 24
 # signature entries computed at once while closing a table: bounds the
@@ -73,12 +71,12 @@ class InconsistencyError(SynthesisError):
 
 
 class ObservationTable:
-    """Signature-indexed state table shared by every learner front end.
+    """Signature-indexed state table of :func:`guess_synchronized`.
 
-    source must provide: n_symbols, width, init(), step(state, sym),
-    signatures(states) -> uint8 ternary matrix with one row of length
-    width per state (column 0 is the empty suffix), and describe(state)
-    for diagnostics.
+    source (a _PairSource) provides: n_symbols, width, init(),
+    step(state, sym), signatures(states) -> uint8 ternary matrix with one
+    row of length width per state (column 0 is the empty suffix), and
+    describe(state) for diagnostics.
 
     The stored signatures are the rows of one uint8 matrix.  They stay
     pairwise incompatible (each pair clashes on a mutually known entry),
@@ -169,18 +167,18 @@ class ObservationTable:
 # -- suffix sets -------------------------------------------------------------
 
 
-def _suffix_words(n_symbols: int, max_len: int, zero_run: int, tail_len: int):
-    """Empty word, all short words, and zero-runs with short tails."""
+def _suffix_words(max_len: int, zero_run: int, tail_len: int):
+    """Empty word, all short two-track words, and zero-runs with short tails."""
     words = [()]
     level = [()]
     for _ in range(max_len):
-        level = [w + (s,) for w in level for s in range(n_symbols)]
+        level = [w + (s,) for w in level for s in range(4)]
         words.extend(level)
     seen = set(words)
     tails = [()]
     level = [()]
     for _ in range(tail_len):
-        level = [w + (s,) for w in level for s in range(n_symbols)]
+        level = [w + (s,) for w in level for s in range(4)]
         tails.extend(level)
     for j in range(1, zero_run + 1):
         run = (0,) * j
@@ -230,7 +228,7 @@ class _SuffixData:
             self.first[t] = np.concatenate([self.first[t], ((lead >> shift) & 1) == 1])
 
 
-# -- learner sources ----------------------------------------------------------
+# -- learner source -----------------------------------------------------------
 
 
 class _PairSource:
@@ -286,60 +284,7 @@ class _PairSource:
         return sig
 
 
-class _StringSource:
-    """Generic membership source for :func:`guess_dfa`.
-
-    member(word) may return True, False, or None (unknown); it must be
-    total (not None) for words up to the bound.
-    """
-
-    def __init__(self, member, arity, suffixes, bound):
-        self.member = member
-        self.arity = arity
-        self.n_symbols = 1 << arity
-        self.suffixes = suffixes
-        self.width = len(suffixes)
-        self.bound = bound
-
-    def init(self):
-        return ()
-
-    def step(self, st, sym):
-        return st + (sym,)
-
-    def describe(self, st):
-        return au._word_text(list(st), self.arity)
-
-    def signatures(self, states) -> np.ndarray:
-        out = np.empty((len(states), self.width), dtype=np.uint8)
-        for r, st in enumerate(states):
-            for i, e in enumerate(self.suffixes):
-                w = st + e
-                if len(w) > self.bound:
-                    out[r, i] = UNKNOWN
-                    continue
-                got = self.member(w)
-                out[r, i] = UNKNOWN if got is None else (1 if got else 0)
-        return out
-
-
-# -- front ends ---------------------------------------------------------------
-
-
-def guess_dfa(member, arity: int, bound: int, *, suffix_len: int = 6) -> Automaton:
-    """Minimal DFA consistent with all observations of `member` up to `bound`.
-
-    States are residual classes of prefixes, discovered breadth-first and
-    distinguished by the suffix battery (all short words plus zero-runs).
-    """
-    if arity > 2:
-        suffix_len = min(suffix_len, 3)
-    suffixes = _suffix_words(1 << arity, suffix_len, zero_run=12, tail_len=1)
-    suffixes = [e for e in suffixes if len(e) <= bound]
-    src = _StringSource(member, arity, suffixes, bound)
-    max_depth = max(bound - suffix_len, 2)
-    table = ObservationTable(src, _DFA_MAX_STATES, max_depth)
-    return au.minimize(table.hypothesis())
+# -- front end ----------------------------------------------------------------
 
 
 def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automaton:
@@ -356,7 +301,7 @@ def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automat
     from . import arith
 
     max_depth = len(nu.encode(max(n_samples, 2))) + 8
-    words = _suffix_words(4, 4, zero_run, tail_len=2)
+    words = _suffix_words(4, zero_run, tail_len=2)
     batch = oracle.batch if getattr(oracle, "cheap_scalar", False) else None
     table_vals = None
     if batch is None:

@@ -90,19 +90,6 @@ def pair_signature(src, st):
     return np.where(~vmask, 0, np.where(known, hit.astype(np.uint8), UNKNOWN)).astype(np.uint8)
 
 
-def string_signature(src, st):
-    """One signature row of a synth._StringSource, computed on its own."""
-    out = np.empty(len(src.suffixes), dtype=np.uint8)
-    for i, e in enumerate(src.suffixes):
-        w = st + e
-        if len(w) > src.bound:
-            out[i] = UNKNOWN
-            continue
-        got = src.member(w)
-        out[i] = UNKNOWN if got is None else (1 if got else 0)
-    return out
-
-
 def per_state_hypothesis(table, signature):
     """Close an empty synth.ObservationTable state by state: each successor's
     signature is computed right before its lookup."""

@@ -5,6 +5,7 @@ import pytest
 
 from fibdecide import automata as au
 from fibdecide import cli
+from fibdecide import synth
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,7 @@ def test_corrupt_store_file_exit_two(tmp_path, catalog, capsys):
 def test_run_missing_script(warm_store, capsys):
     code = run_cli(["run", "/nonexistent/script.txt"], warm_store)
     assert code == 2
+    assert capsys.readouterr().err == "error: no such script: /nonexistent/script.txt\n"
 
 
 def test_empty_script_exit_zero(tmp_path, warm_store):
@@ -127,12 +129,40 @@ def test_oracle_table_negative_count_is_a_usage_error(warm_store, capsys):
     assert out.out == "" and out.err == "error: count must be at least 0, got -5\n"
 
 
-def test_export_dot(tmp_path, warm_store):
+def test_export_dot(tmp_path, warm_store, capsys):
     out = tmp_path / "eq.dot"
     code = run_cli(["export-dot", "eq", str(out)], warm_store)
     assert code == 0
     assert "digraph" in out.read_text()
     assert run_cli(["export-dot", "missing", str(out)], warm_store) == 2
+    assert capsys.readouterr().err == f"error: no automaton named 'missing' in {warm_store}\n"
+
+
+@pytest.mark.parametrize("schedule", ["abc", "", "0,-5", "4096,"])
+def test_bad_schedule_is_a_usage_error(tmp_path, capsys, schedule):
+    store = tmp_path / "s"
+    code = cli.main(["--store", str(store), "--schedule", schedule, "reproduce-paper"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "error: --schedule needs positive sample counts separated by commas,"
+        f" got {schedule!r}\n"
+    )
+    assert not store.exists()
+
+
+def test_failed_certification_is_one_error_line(tmp_path, catalog, capsys, monkeypatch):
+    """A relation that exhausts its schedule is a failed check (exit 1), not a traceback."""
+    store = cli.Store(tmp_path / "s")
+    store.save_catalog(catalog)
+    exhausted = lambda oracle, certs, **kw: synth.SynthesisReport(
+        oracle.name, None, 16, "EXHAUSTED", [("fn_total", False)], "failed: fn_total"
+    )
+    monkeypatch.setattr(synth, "synthesize_certified", exhausted)
+    assert run_cli(["--schedule", "16", "reproduce-paper"], store.root) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: a105774 failed certification: failed: fn_total\n"
 
 
 def test_repl_basic(warm_store, capsys, monkeypatch):

@@ -264,6 +264,53 @@ def test_oracle_rejects_negative_arguments_warm_or_cold(monkeypatch, name):
             orc.batch(np.array([-1, 3]))
 
 
+def _warm_table(name):
+    orc = seqs.oracle(name)
+    orc.table(100)
+    return orc.table
+
+
+# every scalar and count of the module, and SequenceOracle.table on a warm
+# table, which a negative count would slice from the end (keyed by the
+# oracle's name, with "_oracle" appended where a function has that name)
+_NEGATIVE = {
+    "a105774": seqs.a105774,
+    "a_xy": lambda n: seqs.a_xy(2, 1, n),
+    "nested_b": seqs.nested_b,
+    "lucas_variant": seqs.lucas_variant,
+    "count_c": seqs.count_c,
+    "w": seqs.w,
+    "s_value": seqs.s_value,
+    "t_value": seqs.t_value,
+    "s_closed": seqs.s_closed,
+    "t_closed": seqs.t_closed,
+    "x_comp": seqs.x_comp,
+    "d_comp": seqs.d_comp,
+    "position_value": lambda n: seqs.position_value("p1", n),
+    "a105774_table": seqs.a105774_table,
+    "a_xy_table": lambda n: seqs.a_xy_table(2, 1, n),
+    "nested_b_table": seqs.nested_b_table,
+    "lucas_variant_table": seqs.lucas_variant_table,
+    "count_c_table": seqs.count_c_table,
+    "w_table": seqs.w_table,
+    "positions": lambda n: seqs.positions("p0", n),
+    "sorted_values": seqs.sorted_values,
+    "distinct_transform": seqs.distinct_transform,
+    "run_lengths": seqs.run_lengths,
+    "a035487_set": seqs.a035487_set,
+    "lucas_variant_oracle": lambda n: _warm_table("lucas_variant")(n),
+    "sorted": lambda n: _warm_table("sorted")(n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEGATIVE))
+def test_negative_arguments_and_counts_raise(name):
+    shown = name.removesuffix("_oracle")
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=rf"^{shown} is defined for n >= 0, got {n}$"):
+            _NEGATIVE[name](n)
+
+
 # a(F(n)) and a(L(n)) leave int64 after n = 92; their tables go past it
 _TABLE_LIMIT = {"s": 120, "t": 120}
 

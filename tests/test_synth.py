@@ -4,39 +4,8 @@ import pytest
 import reference_synth
 from fibdecide import arith
 from fibdecide import automata as au
-from fibdecide import numeration as nu
 from fibdecide import seqs
 from fibdecide import synth
-
-
-def test_guess_dfa_accept_all():
-    learned = synth.guess_dfa(lambda w: True, 1, bound=10)
-    assert learned.n_states == 1
-    assert learned.accepts("10110")
-
-
-def test_guess_dfa_valid_language():
-    member = lambda w: "11" not in "".join(str(s) for s in w)
-    learned = synth.guess_dfa(member, 1, bound=12)
-    assert au.equivalent(au.zero_normalize(learned), arith.valid())
-
-
-def test_guess_dfa_even_numbers():
-    member = lambda w: ("11" not in "".join(map(str, w))) and (
-        nu.decode("".join(map(str, w))) % 2 == 0
-    )
-    learned = synth.guess_dfa(member, 1, bound=14)
-    ns = np.arange(2000)
-    got = arith.accepts_number_pairs(au.zero_normalize(learned), ns)
-    assert np.array_equal(got, ns % 2 == 0)
-
-
-def test_guess_dfa_budget_exhaustion(monkeypatch):
-    # membership depends on exact length: no finite automaton fits in 3 states
-    member = lambda w: len(w) in (5, 9, 13, 17)
-    monkeypatch.setattr(synth, "_DFA_MAX_STATES", 3)
-    with pytest.raises(synth.SynthesisError):
-        synth.guess_dfa(member, 1, bound=18)
 
 
 def test_guess_synchronized_identity():
@@ -106,11 +75,53 @@ def test_synthesize_exhaustion_on_hard_case(catalog, monkeypatch):
     assert report.detail
 
 
-def test_learner_roundtrip_property():
+def test_learner_roundtrip_property(catalog):
     from fibdecide.reproduce import learner_roundtrip
 
-    ok, detail = learner_roundtrip(20240901)
+    ok, detail = learner_roundtrip(20240901, catalog)
     assert ok, detail
+
+
+def _unknown_read_as_reject(monkeypatch):
+    real = synth._PairSource.signatures
+
+    def signatures(self, states):
+        sig = real(self, states)
+        sig[sig == synth.UNKNOWN] = 0
+        return sig
+
+    monkeypatch.setattr(synth._PairSource, "signatures", signatures)
+
+
+def _prefix_validity_ignored(monkeypatch):
+    real = synth._PairSource.step
+
+    def step(self, st, sym):
+        nxt = real(self, st, sym)
+        return nxt[:6] + (True,) + nxt[7:]
+
+    monkeypatch.setattr(synth._PairSource, "step", step)
+
+
+def _learner_gives_up(monkeypatch):
+    def exhausted(oracle, n_samples):
+        raise synth.BoundExhausted("state budget 0 exhausted")
+
+    monkeypatch.setattr(synth, "guess_synchronized", exhausted)
+
+
+@pytest.mark.parametrize("breakage, detail", [
+    # trial 0 draws a table-only oracle and trial 2 an exact one
+    (_unknown_read_as_reject, "learned relation differs from Ex $phin(n,x) & z=(3*x+3)/3"),
+    (_prefix_validity_ignored, "learned relation differs from z=(3*n+5)/1"),
+    (_learner_gives_up,
+     "learning failed for Ex $phin(n,x) & z=(3*x+3)/3: state budget 0 exhausted"),
+])
+def test_learner_roundtrip_fails_on_a_broken_learner(catalog, monkeypatch, breakage, detail):
+    from fibdecide.reproduce import learner_roundtrip
+
+    breakage(monkeypatch)
+    assert learner_roundtrip(20240901, catalog) == (False, detail)
 
 
 def test_certified_candidate_replays_oracle(catalog):
@@ -129,9 +140,8 @@ def test_certified_candidate_replays_oracle(catalog):
 
 
 def test_observation_table_unknowns_never_merge_known_conflicts():
-    # suffixes over both tracks, so that states near the 64-sample bound
-    # store UNKNOWN entries (over symbols 0 and 1 alone they never do)
-    words = synth._suffix_words(4, 2, 6, 1)
+    # states near the 64-sample bound store UNKNOWN entries
+    words = synth._suffix_words(2, 6, 1)
     sfx = synth._SuffixData(words)
     table_vals = seqs.oracle("a105774").table(64)
     src = synth._PairSource(sfx, table=np.asarray(table_vals))
@@ -179,7 +189,7 @@ def test_observation_table_lookup_matches_reference(density):
 
 
 def test_suffix_data_matches_bitwise_reference():
-    words = synth._suffix_words(4, 3, 6, 2)
+    words = synth._suffix_words(3, 6, 2)
     # appended words, one longer than any first word
     extra = [(2, 1, 0, 3, 3), (1,), (1, 0, 2, 0, 1, 0, 2, 0, 2, 1)]
     sfx = synth._SuffixData(words)
@@ -261,21 +271,9 @@ def test_frontier_closure_matches_per_state_reference(monkeypatch, name, chunk_c
     assert any(unknown) == (name == "sorted")
 
 
-def test_frontier_closure_matches_per_state_reference_for_strings():
-    member = lambda w: ("11" not in "".join(map(str, w))) and (
-        nu.decode("".join(map(str, w))) % 3 == 0
-    )
-    suffixes = synth._suffix_words(2, 4, zero_run=6, tail_len=1)
-    src = synth._StringSource(member, 1, suffixes, 12)
-    tab = synth.ObservationTable(src, 64, 8)
-    ref = synth.ObservationTable(src, 64, 8)
-    want = reference_synth.per_state_hypothesis(ref, reference_synth.string_signature)
-    _assert_same_table(tab.hypothesis(), want, tab, ref)
-
-
 @pytest.mark.parametrize("max_states, max_depth", [(5, 40), (1024, 3)])
 def test_frontier_closure_exhausts_like_the_reference(max_states, max_depth):
-    sfx = synth._SuffixData(synth._suffix_words(4, 4, 16, tail_len=2))
+    sfx = synth._SuffixData(synth._suffix_words(4, 16, tail_len=2))
     src = synth._PairSource(sfx, batch=seqs.oracle("lucas_variant").batch)
     with pytest.raises(synth.BoundExhausted) as want:
         reference_synth.per_state_hypothesis(
