@@ -369,11 +369,18 @@ def _certify_beatty(cat: BuiltinCatalog, n: int) -> None:
         bad = _first_miss(cat[name], n, partial(seqs._beatty_batch, name))
         if bad is not None:
             raise CatalogError(f"{name} disagrees with its oracle at n={bad}")
-    ns = np.arange(n)
+    # a035487 is a007067(a007064(m)) >= m, rising with m: mark its values
+    # below n one block of m at a time, up to the first value past n
     member = np.zeros(n, dtype=bool)
-    vals = seqs.a035487_set(n)
-    member[vals] = True
-    got = accepts_number_pairs(cat["a035487"], ns)
-    if not np.array_equal(got, member):
-        bad = int(np.flatnonzero(got != member)[0])
-        raise CatalogError(f"a035487 membership wrong at n={bad}")
+    for lo in range(0, n + 1, au.RUN_BLOCK):
+        ms = np.arange(lo, lo + au.RUN_BLOCK, dtype=np.int64)
+        vals = seqs._beatty_batch("a007067", seqs._beatty_batch("a007064", ms))
+        member[vals[vals < n]] = True
+        if vals[-1] >= n:
+            break
+    for lo in range(0, n, au.RUN_BLOCK):
+        ns = np.arange(lo, min(lo + au.RUN_BLOCK, n), dtype=np.int64)
+        wrong = accepts_number_pairs(cat["a035487"], ns) != member[lo : lo + ns.size]
+        if wrong.any():
+            bad = lo + int(np.flatnonzero(wrong)[0])
+            raise CatalogError(f"a035487 membership wrong at n={bad}")

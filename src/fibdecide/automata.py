@@ -28,6 +28,7 @@ value per state, a DFA being the special case with outputs in {0, 1}
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 
@@ -293,39 +294,25 @@ def product(a: Automaton, b: Automaton, out_fn) -> Automaton:
     if a.arity != b.arity:
         raise ArityError(f"arity mismatch: {a.arity} vs {b.arity}")
     nb = b.n_states
-    key0 = np.int64(a.initial) * nb + b.initial
-    index: dict[int, int] = {int(key0): 0}
-    order = [int(key0)]
-    frontier = np.array([key0], dtype=np.int64)
-    rows = []
-    while frontier.size:
-        ia = (frontier // nb).astype(np.int32)
-        ib = (frontier % nb).astype(np.int32)
-        succ = a.delta[ia].astype(np.int64) * nb + b.delta[ib]
-        rows.append(succ)
-        flat = succ.ravel()
-        uniq, first = np.unique(flat, return_index=True)
-        fresh = [int(k) for k in uniq[np.argsort(first)] if int(k) not in index]
-        for k in fresh:
-            index[k] = len(order)
-            order.append(k)
-        frontier = np.array(fresh, dtype=np.int64)
-    keys = np.array(order, dtype=np.int64)
-    succ_all = np.vstack(rows)
-    # remap packed keys to dense ids
-    sorter = np.argsort(keys)
-    pos = np.searchsorted(keys[sorter], succ_all.ravel())
-    delta = sorter[pos].astype(np.int32).reshape(succ_all.shape)
-    out_a = a.outputs[(keys // nb).astype(np.int32)]
-    out_b = b.outputs[(keys % nb).astype(np.int32)]
-    outputs = np.asarray(out_fn(out_a, out_b), dtype=np.int32)
-    return Automaton(
-        a.arity,
-        delta,
-        outputs,
-        0,
-        zero_normalized=a.zero_normalized and b.zero_normalized,
-    )
+    # pair (x, y) has key x * nb + y; rows_a holds x * nb already
+    rows_a, rows_b = (a.delta.astype(np.int64) * nb).tolist(), b.delta.tolist()
+    key0 = a.initial * nb + b.initial
+    index = {key0: 0}
+    keys = [key0]
+    flat = []
+    get, push, emit = index.get, keys.append, flat.append
+    for key in keys:  # keys grows while it is read: a queue, symbols ascending
+        x, y = divmod(key, nb)
+        for k in map(operator.add, rows_a[x], rows_b[y]):
+            t = get(k)
+            if t is None:
+                t = index[k] = len(keys)
+                push(k)
+            emit(t)
+    keys = np.array(keys, dtype=np.int64)
+    delta = np.array(flat, dtype=np.int32).reshape(keys.size, a.n_symbols)
+    outputs = out_fn(a.outputs[keys // nb], b.outputs[keys % nb])
+    return Automaton(a.arity, delta, outputs, 0, a.zero_normalized and b.zero_normalized)
 
 
 def _require_boolean(*auts):
@@ -623,10 +610,7 @@ def combine(parts, domain: Automaton) -> Automaton:
         if aut.arity != arity:
             raise ArityError("combine parts must share one arity")
     # fold a product tracking the acceptance bitmask of every part
-    acc = parts[0][0]
-    mask = Automaton(
-        arity, acc.delta, acc.outputs, acc.initial, zero_normalized=acc.zero_normalized
-    )
+    mask = parts[0][0]
     for i, (aut, _) in enumerate(parts[1:], start=1):
         mask = product(mask, aut, lambda x, y, i=i: x | (y << i))
     mask = product(mask, domain, lambda x, y: x * 2 + y)

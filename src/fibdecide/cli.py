@@ -32,14 +32,14 @@ class Store:
     ]
 
     def __init__(self, root: Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root = Path(root)  # made by the first save, so reading makes no store
 
     def path(self, name: str) -> Path:
         return self.root / f"{name}.aut"
 
     def save(self, name: str, aut: au.Automaton) -> None:
         """Replace name.aut whole: a failed write leaves the old file as it was."""
+        self.root.mkdir(parents=True, exist_ok=True)
         tmp = self.root / f".{name}.{os.getpid()}.tmp"
         try:
             tmp.write_text(au.serialize(aut))
@@ -122,15 +122,16 @@ def cmd_repl(args) -> int:
     catalog = _build_catalog(args)
     session = logic.Session(catalog)
     print("fibdecide repl; :quit to leave, :list, :show NAME, :dot NAME FILE")
+    failed = False
     while True:
         try:
             line = input("> ").strip()
         except EOFError:
-            return 0
+            break
         if not line:
             continue
         if line in (":quit", ":q"):
-            return 0
+            break
         try:
             if line == ":list":
                 print(" ".join(session.names()))
@@ -148,7 +149,9 @@ def cmd_repl(args) -> int:
                     else:
                         print(f"{kind} {name}")
         except Exception as exc:
-            print(f"error: {exc}")
+            print(f"error: {exc}", file=sys.stderr)
+            failed = True
+    return 2 if failed else 0
 
 
 def cmd_reproduce(args) -> int:

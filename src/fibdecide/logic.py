@@ -735,9 +735,12 @@ class Compiler:
         return CompiledQuery(arith.linear(tuple(form[v] for v in names), k, op), names)
 
     def _oriented(self, rel: Automaton, names: tuple) -> CompiledQuery:
-        """Attach a relation's tracks to distinct named variables; rel comes
-        zero-normalized from _value_dfa, and cylindrify and minimize keep it so."""
+        """Attach a relation's tracks to distinct named variables. rel comes from
+        _value_dfa zero-normalized, minimal and canonical, which is the answer
+        for sorted names; else cylindrify and minimize keep it so."""
         order = tuple(sorted(names))
+        if order == names:
+            return CompiledQuery(rel, names)
         positions = [order.index(v) for v in names]
         return CompiledQuery(au.minimize(au.cylindrify(rel, positions, len(order))), order)
 

@@ -1,9 +1,9 @@
 """Kernel paths that the package replaced, kept as differential references:
 the Zeckendorf digit matrix that batch membership used to read, the
 two-pass projection (a subset construction from the pad closure of the
-start, then a second one that zero-normalizes its result) and the BFS
-that numbered reachable states one layer at a time.  Not used by the
-package."""
+start, then a second one that zero-normalizes its result), the BFS
+that numbered reachable states one layer at a time and the product that
+was built the same way.  Not used by the package."""
 
 import numpy as np
 
@@ -109,3 +109,39 @@ def reachable_order(delta, initial):
         order.append(fresh.astype(np.int32))
         frontier = fresh
     return np.concatenate(order)
+
+
+def product(a, b, out_fn):
+    """Reachable product, one numpy pass per BFS layer: the pair keys
+    x * nb + y of a layer's successors are numbered by first occurrence,
+    then remapped to dense ids through a sorted copy of all keys."""
+    if a.arity != b.arity:
+        raise au.ArityError(f"arity mismatch: {a.arity} vs {b.arity}")
+    nb = b.n_states
+    key0 = np.int64(a.initial) * nb + b.initial
+    index = {int(key0): 0}
+    order = [int(key0)]
+    frontier = np.array([key0], dtype=np.int64)
+    rows = []
+    while frontier.size:
+        ia = (frontier // nb).astype(np.int32)
+        ib = (frontier % nb).astype(np.int32)
+        succ = a.delta[ia].astype(np.int64) * nb + b.delta[ib]
+        rows.append(succ)
+        uniq, first = np.unique(succ.ravel(), return_index=True)
+        fresh = [int(k) for k in uniq[np.argsort(first)] if int(k) not in index]
+        for k in fresh:
+            index[k] = len(order)
+            order.append(k)
+        frontier = np.array(fresh, dtype=np.int64)
+    keys = np.array(order, dtype=np.int64)
+    succ_all = np.vstack(rows)
+    sorter = np.argsort(keys)
+    pos = np.searchsorted(keys[sorter], succ_all.ravel())
+    delta = sorter[pos].astype(np.int32).reshape(succ_all.shape)
+    out_a = a.outputs[(keys // nb).astype(np.int32)]
+    out_b = b.outputs[(keys % nb).astype(np.int32)]
+    outputs = np.asarray(out_fn(out_a, out_b), dtype=np.int32)
+    return au.Automaton(
+        a.arity, delta, outputs, 0, zero_normalized=a.zero_normalized and b.zero_normalized
+    )

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,28 +364,49 @@ def _first_beatty_miss(cat, n):
     return None
 
 
-@pytest.mark.parametrize("name", ["a007067", "a007064", "a004937", "a003623"])
+@pytest.mark.parametrize("name", ["a007067", "a007064", "a004937", "a003623", "a035487"])
 def test_beatty_check_names_the_first_wrong_n(catalog, monkeypatch, name):
     # as for phin: each mutant redirects one transition to the next state,
-    # and the block-wise check must name the first miss of a full-range run
+    # and the block-wise check must name the first miss of a full-range run;
+    # a035487 is a set, whose mask is also built in blocks of 4 values of m
     monkeypatch.setattr(au, "RUN_BLOCK", 4)
     rel = catalog[name]
     n = 64
     assert rel.zero_normalized and _first_beatty_miss(catalog, n) is None
     ns = np.arange(n)
-    want_vals = seqs._beatty_batch(name, ns)
+    if name == "a035487":
+        member = np.isin(ns, seqs.a035487_set(n))
+        wrong = lambda aut: arith.accepts_number_pairs(aut, ns) != member
+        message = "a035487 membership wrong at n={}"
+    else:
+        want_vals = seqs._beatty_batch(name, ns)
+        wrong = lambda aut: ~arith.accepts_number_pairs(aut, ns, want_vals)
+        message = name + " disagrees with its oracle at n={}"
     misses = set()
     for q in range(rel.n_states):
-        for sym in range(4):
+        for sym in range(rel.n_symbols):
             delta = rel.delta.copy()
             delta[q, sym] = (delta[q, sym] + 1) % rel.n_states
-            mutant = au.zero_normalize(au.Automaton(2, delta, rel.outputs, rel.initial))
-            ok = arith.accepts_number_pairs(mutant, ns, want_vals)
-            bad = None if ok.all() else int(np.flatnonzero(~ok)[0])
-            want = None if bad is None else f"{name} disagrees with its oracle at n={bad}"
+            mutant = au.zero_normalize(au.Automaton(rel.arity, delta, rel.outputs, rel.initial))
+            bad = wrong(mutant)
+            bad = int(np.flatnonzero(bad)[0]) if bad.any() else None
+            want = None if bad is None else message.format(bad)
             assert _first_beatty_miss({**catalog, name: mutant}, n) == want
             misses.add(bad)
     assert max(m for m in misses if m is not None) >= 8
+
+
+def test_beatty_checks_run_in_bounded_memory(catalog):
+    """The five checks over 100,000 values allocate at most 4 MB at once;
+    the a035487 set built whole took 5.7 MB alone."""
+    arith._certify_beatty(catalog, 1000)  # oracle and numeration caches
+    tracemalloc.start()
+    try:
+        arith._certify_beatty(catalog, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_mod_dfao_examples():

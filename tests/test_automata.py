@@ -691,3 +691,61 @@ def test_reachable_order_matches_layered_reference(arity):
             got = au._reachable_order(delta, start)
             want = reference_kernel.reachable_order(delta, start)
             assert got.dtype == np.int32 and got.tolist() == want.tolist(), (trial, start)
+
+
+def _random_product_operand(rng, arity, n_values):
+    """A seeded automaton with some states no path from its initial state
+    reaches, any initial state and either padding flag."""
+    live, dead = int(rng.integers(1, 12)), int(rng.integers(0, 4))
+    n = live + dead
+    S = 1 << arity
+    delta = np.vstack([rng.integers(0, live, (live, S)), rng.integers(0, n, (dead, S))])
+    outputs = rng.integers(0, n_values, n)
+    return au.Automaton(arity, delta, outputs, int(rng.integers(0, live)), bool(rng.integers(0, 2)))
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+def test_product_matches_layered_reference(arity):
+    """The queue pass gives the bytes of the layered product
+    (reference_kernel) on seeded DFAs and DFAOs, under every connective
+    the compiler uses and a DFAO-valued output function."""
+    rng = np.random.default_rng(arity + 401)
+    out_fns = [*logic.Compiler._CONNECTIVES.values(), lambda x, y: 3 * x + y]
+    for trial in range(60):
+        boolean = trial % 2 == 0
+        a = _random_product_operand(rng, arity, 2 if boolean else 3)
+        b = _random_product_operand(rng, arity, 2 if boolean else 4)
+        for i, fn in enumerate(out_fns if boolean else out_fns[-1:]):
+            got, want = au.product(a, b, fn), reference_kernel.product(a, b, fn)
+            _assert_same_automaton(got, want, trial, i)
+
+
+def test_combine_fold_matches_layered_reference(monkeypatch):
+    """Each product of combine's fold (acceptance bitmasks, then the domain)
+    against the layered product, and the combined DFAO unchanged."""
+    rng = np.random.default_rng(409)
+    real = au.product
+    for trial in range(20):
+        arity = int(rng.integers(1, 4))
+        domain = _random_product_operand(rng, arity, 2)
+        # disjoint parts: each accepts where one shared DFAO outputs its index
+        dfao = _random_product_operand(rng, arity, 4)
+        parts = [
+            (au.Automaton(arity, dfao.delta, (dfao.outputs == v).astype(np.int32), dfao.initial), v + 1)
+            for v in range(int(rng.integers(1, 4)))
+        ]
+        steps = []
+
+        def spy(a, b, fn):
+            steps.append((real(a, b, fn), reference_kernel.product(a, b, fn)))
+            return steps[-1][0]
+
+        monkeypatch.setattr(au, "product", spy)
+        combined = au.combine(parts, domain)
+        monkeypatch.setattr(au, "product", reference_kernel.product)
+        want = au.combine(parts, domain)
+        monkeypatch.undo()
+        assert len(steps) == len(parts)
+        for got, ref in steps:
+            _assert_same_automaton(got, ref, trial)
+        _assert_same_automaton(combined, want, trial)

@@ -178,5 +178,24 @@ def test_repl_basic(warm_store, capsys, monkeypatch):
     assert " t" in out or "t " in out
 
 
+def test_repl_error_goes_to_stderr_and_sets_exit_two(warm_store, capsys, monkeypatch):
+    """A failed line is one error: line on stderr; the REPL reads on and
+    exits 2 at :quit."""
+    feed = io.StringIO('eval x "?msd_fib Ax $nosuch(x)"\neval y "?msd_fib Ax x=x"\n:quit\n')
+    monkeypatch.setattr("builtins.input", lambda prompt="": feed.readline().rstrip("\n") or (_ for _ in ()).throw(EOFError))
+    assert run_cli(["repl"], warm_store) == 2
+    out = capsys.readouterr()
+    assert "error:" not in out.out and "y: TRUE" in out.out
+    assert out.err == "error: unknown automaton $nosuch\n"
+
+
+def test_read_only_command_creates_no_store(tmp_path, capsys):
+    store = tmp_path / "missing"
+    assert cli.main(["--store", str(store), "export-dot", "x", str(tmp_path / "y.dot")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not store.exists()
+
+
 def test_usage_error_exit_two():
     assert cli.main(["bogus-subcommand"]) == 2

@@ -530,6 +530,27 @@ def test_conjunction_takes_one_product(session, monkeypatch):
     assert q.aut.accepts_numbers(1, 2, 3) and not q.aut.accepts_numbers(1, 3, 2)
 
 
+def test_in_order_atom_skips_orientation(session, monkeypatch):
+    """An atom whose arguments are already in sorted order is the relation
+    from _value_dfa itself: no cylindrify and no minimize; swapped
+    arguments still take both."""
+    from fibdecide import seqs, synth
+
+    session.define_automaton("a105774", synth.guess_synchronized(seqs.oracle("a105774"), 4096))
+    rel = session.compile("$a105774(n,x)").aut  # builds the cached value DFA
+    calls = []
+    for name in ("cylindrify", "minimize"):
+        real = getattr(au, name)
+        monkeypatch.setattr(au, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    q = session.compile("$a105774(n,x)")
+    assert calls == [] and q.variables == ("n", "x") and q.aut is rel
+    swapped = session.compile("$a105774(x,n)")
+    assert "cylindrify" in calls and "minimize" in calls
+    assert swapped.variables == ("n", "x")
+    assert q.aut.accepts_numbers(6, 7) and not q.aut.accepts_numbers(7, 6)  # a(6) = a(7) = 7
+    assert swapped.aut.accepts_numbers(7, 6) and not swapped.aut.accepts_numbers(6, 7)
+
+
 def test_subset_limit_names_the_eliminated_variable(session, monkeypatch):
     arith.lt()  # the relation itself is built without the limit
     monkeypatch.setattr(au, "SUBSET_LIMIT", 3)
