@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 import random
 import re
+from functools import cache
 
 import numpy as np
 
@@ -235,6 +236,26 @@ def encode_pair_word(nums) -> list:
 # Rows per block of run_numbers: keeps the remainder, index and state
 # arrays of one block cache-sized, whatever the number of tuples.
 RUN_BLOCK = 1 << 15
+# run_numbers reads the last _CODE_COLS columns (weights F(2) .. F(23)) of
+# a remainder below F(24) from a table of packed codes, at most 63 // k
+# columns for k tracks so that a code fits an int64
+_CODE_COLS = 22
+# cells (states x symbols) of the transition table over c columns at once
+_STEP_CELLS = 1 << 16
+
+
+@cache
+def _zeckendorf_codes(arity: int) -> np.ndarray:
+    """codes[r] holds digit t (weight F(t+2)) of r at bit t * arity, for r
+    below F(cols + 2) with cols = min(_CODE_COLS, 63 // arity)."""
+    cols = min(_CODE_COLS, 63 // arity)
+    codes = np.zeros(numeration.fib(cols + 2), dtype=np.int64)
+    for t in range(cols):
+        # r in [F(t+2), F(t+3)) is F(t+2) plus the code of r - F(t+2)
+        lo, hi = numeration.fib(t + 2), numeration.fib(t + 3)
+        np.bitwise_or(codes[: hi - lo], 1 << (t * arity), out=codes[lo:hi])
+    codes.setflags(write=False)
+    return codes
 
 
 def run_numbers(a: Automaton, cols) -> np.ndarray:
@@ -242,9 +263,15 @@ def run_numbers(a: Automaton, cols) -> np.ndarray:
 
     Row i is the tuple (cols[0][i], ..., cols[k-1][i]), read msd first as
     Zeckendorf digits zero-padded to the width of the largest value in any
-    column.  Rows are read in blocks of RUN_BLOCK; the digit of each track
-    comes from a running remainder, so no (rows x width) digit matrix is
-    built.  Raises ValueError for a negative value or columns of unequal
+    column.  Rows are read in blocks of RUN_BLOCK, so no (rows x width)
+    digit matrix is built.  The digits of each track come from a running
+    remainder until it is below F(24) (a lower Fibonacci number from 3
+    tracks on); the last columns are then read from one table of packed
+    Zeckendorf codes, one gather per track.  The state moves c columns per
+    gather through the transition table composed over c symbols, the
+    largest c with k * c <= 8 whose table has at most _STEP_CELLS cells
+    (else c = 1); the width % c leftover columns come first, one at a
+    time.  Raises ValueError for a negative value or columns of unequal
     length.
     """
     if len(cols) != a.arity or a.arity == 0:
@@ -258,30 +285,56 @@ def run_numbers(a: Automaton, cols) -> np.ndarray:
     if min(int(x.min()) for x in arrs) < 0:
         raise ValueError("batch membership takes natural numbers only")
     hi = max(int(x.max()) for x in arrs)
+    k, n_states = a.arity, a.n_states
     width = max(len(numeration.encode(hi)), 1)
-    weights = [numeration.fib(width + 1 - col) for col in range(width)]
+    codes = _zeckendorf_codes(k)
+    n_high = max(width - min(_CODE_COLS, 63 // k), 0)  # columns read by remainder
     rdtype = np.int32 if hi < 1 << 31 else np.int64
     sign = np.iinfo(rdtype).bits - 1
-    flat = a.delta.ravel()
+    c = next((c for c in range(8 // k, 1, -1) if n_states << (k * c) <= _STEP_CELLS), 1)
+    table = a.delta
+    for _ in range(c - 1):  # table[q, s1 .. sj] = state after reading s1 .. sj
+        table = a.delta[table.reshape(n_states, -1)]
+    # (first column, columns, flat table indexed by state * S**span + symbols)
+    spans = [(col, 1, a.delta.ravel()) for col in range(width % c)]
+    spans += [(col, c, table.ravel()) for col in range(width % c, width, c)]
     out = np.empty(n, dtype=a.outputs.dtype)
+    size = min(n, RUN_BLOCK)
+    idx, neg, tmp = (np.empty(size, dtype=rdtype) for _ in range(3))
+    pos, low, code = (np.empty(size, dtype=np.int64) for _ in range(3))
     for lo in range(0, n, RUN_BLOCK):
         rems = [x[lo : lo + RUN_BLOCK].astype(rdtype) for x in arrs]
         m = rems[0].size
+        idx, neg, tmp, pos, low, code = (b[:m] for b in (idx, neg, tmp, pos, low, code))
         state = np.full(m, a.initial, dtype=np.int32)
-        idx = np.empty(m, dtype=rdtype)
-        neg = np.empty(m, dtype=rdtype)
-        tmp = np.empty(m, dtype=rdtype)
-        for f in weights:
-            idx[:] = state
-            for r in rems:
-                # neg = -1 where r >= f (digit 1), else 0: the sign of f-1-r
-                np.subtract(f - 1, r, out=neg)
-                np.right_shift(neg, sign, out=neg)
-                np.bitwise_and(neg, f, out=tmp)  # masked subtract of f
-                np.subtract(r, tmp, out=r)
-                np.left_shift(idx, 1, out=idx)  # append the digit bit
-                np.subtract(idx, neg, out=idx)
-            np.take(flat, idx, out=state)  # flat[state * S + symbol]
+        for col0, span, flat in spans:
+            n_low = col0 + span - max(col0, n_high)  # columns read from the codes
+            if n_low < span:
+                idx[:] = state
+                for col in range(col0, min(col0 + span, n_high)):
+                    f = numeration.fib(width + 1 - col)
+                    for r in rems:
+                        # neg = -1 where r >= f (digit 1), else 0: the sign of f-1-r
+                        np.subtract(f - 1, r, out=neg)
+                        np.right_shift(neg, sign, out=neg)
+                        np.bitwise_and(neg, f, out=tmp)  # masked subtract of f
+                        np.subtract(r, tmp, out=r)
+                        np.left_shift(idx, 1, out=idx)  # append the digit bit
+                        np.subtract(idx, neg, out=idx)
+                pos[:] = idx
+            if n_low > 0:
+                if col0 <= n_high:  # the first code column: every remainder is read
+                    code[:] = 0
+                    for i, r in enumerate(rems):
+                        low[:] = r
+                        np.left_shift(codes.take(low), k - 1 - i, out=low)
+                        np.bitwise_or(code, low, out=code)
+                # the symbols of columns col0+span-n_low .. col0+span-1
+                np.right_shift(code, (width - col0 - span) * k, out=low)
+                np.bitwise_and(low, (1 << (k * n_low)) - 1, out=low)
+                np.left_shift(pos if n_low < span else state, k * n_low, out=pos)
+                np.bitwise_or(pos, low, out=pos)
+            state = flat.take(pos)  # flat[state * S**span + symbols]
         out[lo : lo + m] = a.outputs[state]
     return out
 

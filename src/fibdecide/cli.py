@@ -132,14 +132,18 @@ def cmd_repl(args) -> int:
             continue
         if line in (":quit", ":q"):
             break
+        words = line.split()
         try:
             if line == ":list":
                 print(" ".join(session.names()))
-            elif line.startswith(":show"):
-                name = line.split()[1]
-                print(au.serialize(session.automaton(name)), end="")
-            elif line.startswith(":dot"):
-                _, name, out = line.split()
+            elif words[0] == ":show":
+                if len(words) != 2:
+                    raise ValueError("usage: :show NAME")
+                print(au.serialize(session.automaton(words[1])), end="")
+            elif words[0] == ":dot":
+                if len(words) != 3:
+                    raise ValueError("usage: :dot NAME FILE")
+                _, name, out = words
                 Path(out).write_text(au.export_dot(session.automaton(name), name))
                 print(f"wrote {out}")
             else:

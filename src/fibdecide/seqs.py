@@ -51,7 +51,6 @@ __all__ = [
     "t_closed",
     "x_comp",
     "d_comp",
-    "a035487_set",
 ]
 
 
@@ -219,14 +218,6 @@ def _vec_floor_phi(m: np.ndarray) -> np.ndarray:
             r[under] += 1
         out[lo : lo + mb.size] = (mb + r) // 2
     return out
-
-
-def a035487_set(limit: int) -> np.ndarray:
-    """Members below `limit`: a007067 applied to the values of a007064."""
-    ms = np.arange(_natural("a035487_set", limit), dtype=np.int64)
-    base = _beatty_batch("a007064", ms)
-    vals = _beatty_batch("a007067", base)
-    return np.unique(vals[vals < limit])
 
 
 # -- derived sequences --------------------------------------------------------

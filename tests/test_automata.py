@@ -298,13 +298,18 @@ def _random_dfao(rng, arity, n_states=7, n_values=3):
     return au.Automaton(arity, delta, rng.integers(0, n_values, n_states))
 
 
-@pytest.mark.parametrize("arity", [1, 2, 3])
-@pytest.mark.parametrize("hi", [5_000, (1 << 31) - 1, 1 << 40])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("hi", [5_000, nu.fib(25), (1 << 31) - 1, 1 << 40, 1 << 62])
 def test_run_numbers_matches_digit_walk(arity, hi, monkeypatch):
     """Random DFAOs on random tuples, in blocks of 64 rows and a partial one.
 
     hi = 2**31 - 1 keeps the int32 remainders at their limit; 2**40 mixes
-    values on both sides of 2**31 and takes the int64 path.
+    values on both sides of 2**31 and takes the int64 path, as 2**62 does
+    near the top of int64.  F(24) - 1, F(24) and F(25) sit where the
+    remainders are first all read from the packed codes.  A 7-state DFAO
+    steps 8 // arity columns at a time (1 at arity 6); the batch is also
+    read at widths just below, at and above multiples of that step, and a
+    40-state DFAO under a smaller cell cap steps one column at a time.
     """
     monkeypatch.setattr(au, "RUN_BLOCK", 64)
     rng = np.random.default_rng(arity * 7919 + hi % 7919)
@@ -312,11 +317,22 @@ def test_run_numbers_matches_digit_walk(arity, hi, monkeypatch):
     for c in cols:
         c[-17:] %= 100  # the last block is small, yet read at the batch width
     edge = [v for v in range((1 << 31) - 2, (1 << 31) + 2) if v <= hi]
+    edge += [v for v in (nu.fib(24) - 1, nu.fib(24), nu.fib(25)) if v <= hi]
     cols[0][: len(edge) + 2] = [0, hi] + edge
+    cols[-1][64 : 64 + len(edge)] = edge
+    step = max(8 // arity, 1)
     for trial in range(3):
-        a = _random_dfao(rng, arity)
+        if trial == 2:
+            monkeypatch.setattr(au, "_STEP_CELLS", 40 << arity)
+        a = _random_dfao(rng, arity, n_states=40 if trial == 2 else 7)
         assert np.array_equal(au.run_numbers(a, cols), _walk_reference(a, cols)), trial
         assert au.run_numbers(a, [[]] * arity).size == 0
+        for width in {w for m in (1, 6) for w in (m * step - 1, m * step, m * step + 1)} - {0}:
+            # values below F(width + 2), the largest F(width + 1): width columns
+            part = [c[:40] % nu.fib(width + 2) for c in cols]
+            part[-1][0] = nu.fib(width + 1)
+            got = au.run_numbers(a, part)
+            assert np.array_equal(got, _walk_reference(a, part)), (trial, width)
 
 
 def test_run_numbers_dfaos_past_one_block(catalog):

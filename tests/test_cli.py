@@ -189,6 +189,22 @@ def test_repl_error_goes_to_stderr_and_sets_exit_two(warm_store, capsys, monkeyp
     assert out.err == "error: unknown automaton $nosuch\n"
 
 
+def test_repl_malformed_command_prints_its_usage(warm_store, capsys, monkeypatch):
+    """A REPL command with the wrong number of arguments prints its usage;
+    a word that only starts with a command name is not that command."""
+    feed = io.StringIO(":show\n:dot x\n:show a b\n:showfoo valid\n:quit\n")
+    monkeypatch.setattr("builtins.input", lambda prompt="": feed.readline().rstrip("\n") or (_ for _ in ()).throw(EOFError))
+    assert run_cli(["repl"], warm_store) == 2
+    out = capsys.readouterr()
+    assert "fibaut" not in out.out
+    assert out.err.splitlines() == [
+        "error: usage: :show NAME",
+        "error: usage: :dot NAME FILE",
+        "error: usage: :show NAME",
+        "error: unknown command 'showfoo' (line 1)",
+    ]
+
+
 def test_read_only_command_creates_no_store(tmp_path, capsys):
     store = tmp_path / "missing"
     assert cli.main(["--store", str(store), "export-dot", "x", str(tmp_path / "y.dot")]) == 2

@@ -297,7 +297,6 @@ _NEGATIVE = {
     "sorted_values": seqs.sorted_values,
     "distinct_transform": seqs.distinct_transform,
     "run_lengths": seqs.run_lengths,
-    "a035487_set": seqs.a035487_set,
     "lucas_variant_oracle": lambda n: _warm_table("lucas_variant")(n),
     "sorted": lambda n: _warm_table("sorted")(n),
 }
