@@ -39,14 +39,12 @@ from . import numeration
 
 __all__ = [
     "Automaton",
-    "Nfa",
     "AutomatonError",
     "ArityError",
     "product",
     "intersect",
     "union",
     "complement",
-    "determinize",
     "minimize",
     "DeterminizationLimit",
     "project",
@@ -157,27 +155,6 @@ class Automaton:
         if len(nums) != self.arity:
             raise ArityError(f"expected {self.arity} numbers, got {len(nums)}")
         return self.accepts(encode_pair_word(nums))
-
-
-class Nfa:
-    """Nondeterministic automaton; transient input to :func:`determinize`."""
-
-    def __init__(self, arity, n_states, initial, accepting, moves):
-        # moves: dict (state, symbol) -> iterable of states
-        self.arity = arity
-        self.n_states = n_states
-        self.initial = frozenset(initial)
-        self.accepting = frozenset(accepting)
-        self.moves = {k: frozenset(v) for k, v in moves.items()}
-
-    @classmethod
-    def from_dfa(cls, a: Automaton) -> "Nfa":
-        moves = {
-            (q, s): (int(a.delta[q, s]),)
-            for q in range(a.n_states)
-            for s in range(a.n_symbols)
-        }
-        return cls(a.arity, a.n_states, (a.initial,), a.accepting, moves)
 
 
 # -- word coercion and number encodings --------------------------------
@@ -525,16 +502,6 @@ def _subsets(seeds, succ, accepting):
     return rows, outs, seed_ids
 
 
-def determinize(nfa: Nfa) -> Automaton:
-    """Language-equivalent complete DFA via subset construction."""
-    succ = [
-        [tuple(sorted(nfa.moves.get((q, s), ()))) for q in range(nfa.n_states)]
-        for s in range(1 << nfa.arity)
-    ]
-    rows, outs, _ = _subsets([nfa.initial], succ, nfa.accepting)
-    return Automaton(nfa.arity, rows, outs)
-
-
 def _padded_subsets(arity: int, starts, succ, acc: np.ndarray) -> Automaton:
     """Minimal zero-normalized DFA of an NFA read after any zero prefix.
 
@@ -698,12 +665,12 @@ def sample_language(a: Automaton, limit: int) -> list[str]:
     _require_boolean(a)
     # prune prefixes that cannot reach acceptance
     useful = _coreachable(a.delta, a.outputs == 1)
-    out: list[str] = []
+    out: list[list] = []
     if not useful[a.initial]:
-        return out
+        return []
     frontier = [(a.initial, [])]
     if a.outputs[a.initial] == 1:
-        out.append(_word_text([], a.arity))
+        out.append([])
     depth = 0
     while frontier and len(out) < limit and depth < 64:
         depth += 1
@@ -715,20 +682,21 @@ def sample_language(a: Automaton, limit: int) -> list[str]:
                     continue
                 w2 = word + [s]
                 if a.outputs[t] == 1 and len(out) < limit:
-                    out.append(_word_text(w2, a.arity))
+                    out.append(w2)
                 nxt.append((t, w2))
         frontier = nxt
-    return out[:limit]
+    if a.arity == 1:
+        return ["".join(map(str, w)) for w in out[:limit]]
+    return [_word_text(w, a.arity) for w in out[:limit]]
 
 
 def _word_text(symbols, arity) -> str:
-    if arity == 1:
-        return "".join(str(s) for s in symbols)
-    parts = []
-    for s in symbols:
-        bits = [(s >> (arity - 1 - i)) & 1 for i in range(arity)]
-        parts.append("[" + ",".join(str(b) for b in bits) + "]")
-    return "".join(parts)
+    """Each symbol as [b1,...,bk], track 0 first: the one spelling of store
+    files, DOT labels and reported words."""
+    return "".join(
+        "[" + ",".join(str((s >> (arity - 1 - i)) & 1) for i in range(arity)) + "]"
+        for s in symbols
+    )
 
 
 def _coreachable(delta: np.ndarray, target_mask: np.ndarray) -> np.ndarray:
@@ -796,66 +764,62 @@ class RegexError(AutomatonError):
 
 
 class _RegexParser:
-    """Patterns over tuple symbols [b1,...,bk] (bare 0/1 when k = 1).
-
-    Grammar: alternation of concatenations of starred/plused/optional
-    atoms; atoms are symbols, '()' groups, and empty branches denote the
-    empty word.
+    """Position automaton of a pattern over symbols [b1,...,bk] (bare 0/1
+    when k = 1): alternations of concatenations of starred/plused/optional
+    atoms, atoms being symbols and '()' groups; empty branches denote the
+    empty word.  Position p >= 1 is the p-th symbol of the text.  Each rule
+    returns (nullable, first, last) of the text it read and adds to
+    follow[p] the positions that can come right after p.
     """
 
     def __init__(self, text: str, arity: int):
         self.text = text
         self.arity = arity
         self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.symbols = [None]  # symbol index of each position
+        self.follow = [set()]  # follow[0]: the first positions of the text
 
     def peek(self):
-        self._skip_ws()
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else None
 
     def parse(self):
-        node = self._alt()
-        self._skip_ws()
-        if self.pos != len(self.text):
+        nullable, first, last = self._alt()
+        if self.peek() is not None:
             raise RegexError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return node
+        self.follow[0] = first
+        return nullable, last
 
     def _alt(self):
-        branches = [self._concat()]
+        nullable, first, last = self._concat()
         while self.peek() == "|":
             self.pos += 1
-            branches.append(self._concat())
-        return ("alt", branches) if len(branches) > 1 else branches[0]
+            n2, f2, l2 = self._concat()
+            nullable, first, last = nullable or n2, first | f2, last | l2
+        return nullable, first, last
 
     def _concat(self):
-        items = []
-        while True:
-            c = self.peek()
-            if c is None or c in "|)":
-                break
-            items.append(self._repeat())
-        if not items:
-            return ("eps",)
-        return ("cat", items) if len(items) > 1 else items[0]
+        nullable, first, last = True, set(), set()
+        while self.peek() not in (None, "|", ")"):
+            n2, f2, l2 = self._repeat()
+            for p in last:
+                self.follow[p] |= f2
+            first = first | f2 if nullable else first
+            last = last | l2 if n2 else l2
+            nullable = nullable and n2
+        return nullable, first, last
 
     def _repeat(self):
-        node = self._atom()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                node = ("star", node)
-            elif c == "+":
-                self.pos += 1
-                node = ("cat", [node, ("star", node)])
-            elif c == "?":
-                self.pos += 1
-                node = ("alt", [node, ("eps",)])
-            else:
-                return node
+        nullable, first, last = self._atom()
+        while self.peek() in ("*", "+", "?"):
+            op = self.text[self.pos]
+            self.pos += 1
+            if op != "?":  # the text may repeat: its last positions lead to its first
+                for p in last:
+                    self.follow[p] |= first
+            nullable = nullable or op != "+"
+        return nullable, first, last
 
     def _atom(self):
         c = self.peek()
@@ -878,86 +842,31 @@ class _RegexParser:
             except AutomatonError:
                 msg = f"symbol [{body}] does not fit arity {self.arity}"
                 raise RegexError(msg, start) from None
-            return ("sym", idx)
-        if c in ("0", "1") and self.arity == 1:
+        elif c in ("0", "1") and self.arity == 1:
             self.pos += 1
-            return ("sym", int(c))
-        raise RegexError(f"unexpected {c!r}", self.pos)
+            idx = int(c)
+        else:
+            raise RegexError(f"unexpected {c!r}", self.pos)
+        p = len(self.symbols)
+        self.symbols.append(idx)
+        self.follow.append(set())
+        return False, {p}, {p}
 
 
 def regex_compile(pattern: str, arity: int) -> Automaton:
-    """Minimal DFA of the exact pattern language (no implicit padding)."""
-    ast = _RegexParser(pattern, arity).parse()
-    # Thompson construction with explicit epsilon edges
-    trans: list[tuple[int, int, int]] = []  # (src, symbol, dst)
-    eps: list[tuple[int, int]] = []
-    counter = [0]
-
-    def new_state():
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(node):
-        kind = node[0]
-        if kind == "eps":
-            s, t = new_state(), new_state()
-            eps.append((s, t))
-            return s, t
-        if kind == "sym":
-            s, t = new_state(), new_state()
-            trans.append((s, node[1], t))
-            return s, t
-        if kind == "cat":
-            first = build(node[1][0])
-            cur = first
-            for item in node[1][1:]:
-                nxt = build(item)
-                eps.append((cur[1], nxt[0]))
-                cur = (first[0], nxt[1])
-            return cur
-        if kind == "alt":
-            s, t = new_state(), new_state()
-            for item in node[1]:
-                fs, ft = build(item)
-                eps.append((s, fs))
-                eps.append((ft, t))
-            return s, t
-        if kind == "star":
-            s, t = new_state(), new_state()
-            fs, ft = build(node[1])
-            eps.extend([(s, t), (s, fs), (ft, fs), (ft, t)])
-            return s, t
-        raise AssertionError(kind)
-
-    start, final = build(ast)
-    n = counter[0]
-    eps_adj = [[] for _ in range(n)]
-    for u, v in eps:
-        eps_adj[u].append(v)
-
-    def closure(states):
-        out = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for r in eps_adj[q]:
-                if r not in out:
-                    out.add(r)
-                    stack.append(r)
-        return out
-
-    moves: dict[tuple[int, int], set] = {}
-    for u, s, v in trans:
-        moves.setdefault((u, s), set()).add(v)
-    # epsilon-free NFA: move then closure
-    nfa_moves = {}
-    for (u, s), vs in moves.items():
-        nfa_moves[(u, s)] = closure(vs)
-    init = closure({start})
-    # states reaching final through closure are accepting
-    accepting = {q for q in range(n) if final in closure({q})}
-    nfa = Nfa(arity, n, init, accepting, nfa_moves)
-    return minimize(determinize(nfa))
+    """Minimal DFA of the exact pattern language (no implicit padding): the
+    subset construction of its position automaton, whose state 0 is the
+    start and state p the p-th symbol."""
+    if not 0 <= arity <= MAX_ARITY:  # before 2**arity successor lists are built
+        raise ArityError(f"arity {arity} out of range 0..{MAX_ARITY}")
+    parser = _RegexParser(pattern, arity)
+    nullable, last = parser.parse()
+    succ = [[()] * len(parser.follow) for _ in range(1 << arity)]
+    for q, nxt in enumerate(parser.follow):
+        for p in sorted(nxt):
+            succ[parser.symbols[p]][q] += (p,)
+    rows, outs, _ = _subsets([[0]], succ, (last | {0}) if nullable else last)
+    return minimize(Automaton(arity, rows, outs))
 
 
 # -- serialization ---------------------------------------------------------
@@ -974,11 +883,9 @@ def serialize(a: Automaton) -> str:
     else:
         for q in range(a.n_states):
             lines.append(f"output {q} {int(a.outputs[q])}")
-    for q in range(a.n_states):
-        for s in range(a.n_symbols):
-            bits = [(s >> (a.arity - 1 - i)) & 1 for i in range(a.arity)]
-            sym = "[" + ",".join(str(b) for b in bits) + "]"
-            lines.append(f"trans {q} {sym} {int(a.delta[q, s])}")
+    syms = [_word_text([s], a.arity) for s in range(a.n_symbols)]
+    for q, row in enumerate(a.delta.tolist()):
+        lines.extend(f"trans {q} {sym} {t}" for sym, t in zip(syms, row))
     return "\n".join(lines) + "\n"
 
 
@@ -986,7 +893,7 @@ def deserialize(text: str) -> Automaton:
     arity = None
     n = None
     initial = 0
-    accepting: set[int] | None = None
+    accepting: tuple[int, set[int]] | None = None  # (line, states)
     outputs: dict[int, int] = {}
     trans: list[tuple[int, str, int, int]] = []
     magic_seen = False
@@ -1007,8 +914,12 @@ def deserialize(text: str) -> Automaton:
             elif parts[0] == "initial":
                 initial = int(parts[1])
             elif parts[0] == "accepting":
-                accepting = {int(p) for p in parts[1:]}
+                if accepting is not None or outputs:
+                    raise ValueError("accepting cannot follow an accepting or output line")
+                accepting = (lineno, {int(p) for p in parts[1:]})
             elif parts[0] == "output":
+                if accepting is not None or int(parts[1]) in outputs:
+                    raise ValueError("output cannot follow an accepting line or repeat a state")
                 outputs[int(parts[1])] = int(parts[2])
             elif parts[0] == "trans":
                 if len(parts) != 4:
@@ -1022,6 +933,8 @@ def deserialize(text: str) -> Automaton:
         raise AutomatonError("missing arity/states header")
     if not (0 <= arity <= MAX_ARITY and n >= 1):
         raise AutomatonError(f"arity {arity} or states {n} out of range")
+    if accepting is not None and not all(0 <= q < n for q in accepting[1]):
+        raise AutomatonError(f"line {accepting[0]}: accepting state out of range")
     delta = np.full((n, 1 << arity), -1, dtype=np.int32)
     for q, symtext, t, lineno in trans:
         if not (0 <= q < n and 0 <= t < n):
@@ -1032,12 +945,14 @@ def deserialize(text: str) -> Automaton:
             raise AutomatonError(f"line {lineno}: {exc}") from None
         if len(syms) != 1:
             raise AutomatonError(f"line {lineno}: expected one symbol")
+        if delta[q, syms[0]] >= 0:
+            raise AutomatonError(f"line {lineno}: second transition for state {q} on {symtext}")
         delta[q, syms[0]] = t
     if (delta < 0).any():
         q, s = np.argwhere(delta < 0)[0]
         raise AutomatonError(f"missing transition for state {q} symbol index {s}")
     if accepting is not None:
-        outs = np.array([1 if q in accepting else 0 for q in range(n)], dtype=np.int32)
+        outs = np.array([1 if q in accepting[1] else 0 for q in range(n)], dtype=np.int32)
     else:
         if set(outputs) != set(range(n)):
             raise AutomatonError("DFAO must define an output for every state")
@@ -1055,10 +970,8 @@ def export_dot(a: Automaton, name: str = "aut") -> str:
         else:
             lines.append(f'  q{q} [shape=circle label="{q}/{int(a.outputs[q])}"];')
     lines.append(f"  hidden -> q{a.initial};")
-    for q in range(a.n_states):
-        for s in range(a.n_symbols):
-            bits = [(s >> (a.arity - 1 - i)) & 1 for i in range(a.arity)]
-            label = "[" + ",".join(str(b) for b in bits) + "]"
-            lines.append(f'  q{q} -> q{int(a.delta[q, s])} [label="{label}"];')
+    labels = [_word_text([s], a.arity) for s in range(a.n_symbols)]
+    for q, row in enumerate(a.delta.tolist()):
+        lines.extend(f'  q{q} -> q{t} [label="{label}"];' for label, t in zip(labels, row))
     lines.append("}")
     return "\n".join(lines) + "\n"

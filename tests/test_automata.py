@@ -1,3 +1,6 @@
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from fibdecide import arith
 from fibdecide import automata as au
 from fibdecide import logic
 from fibdecide import numeration as nu
+from fibdecide import reproduce as rp
 
 import reference_chain
 import reference_kernel
@@ -36,13 +40,42 @@ def test_complement_flips_membership():
     assert c.accepts("11")
 
 
-def test_determinize_roundtrip():
-    d = small_dfa("0*10*")
-    nfa = au.Nfa.from_dfa(d)
-    assert au.equivalent(au.determinize(nfa), d)
-    empty = au.Nfa(1, 1, (), (), {})
-    dd = au.determinize(empty)
-    assert not au.minimize(dd).outputs.any()
+def test_regex_matches_python_re():
+    """Random arity-1 patterns of depth <= 3 (deeper ones with nested
+    quantifiers can keep the backtracking re busy for minutes) accept
+    exactly the words re.fullmatch accepts, up to length 8."""
+    rng = random.Random(4242)
+    # the words of _lang_vector(_, 8): letter k of word w is bit k of w
+    words = [format(w, f"0{n}b")[::-1] if n else "" for n in range(9) for w in range(1 << n)]
+    for _ in range(150):
+        pattern = rp._random_pattern(rng, rng.randint(1, 3), ["0", "1"])
+        want = [bool(re.fullmatch(pattern, w)) for w in words]
+        assert rp._lang_vector(au.regex_compile(pattern, 1), 8) == want, pattern
+
+
+def test_regex_arity2_matches_python_re():
+    """Arity-2 patterns against re, each symbol [a,b] read as one letter."""
+    rng = random.Random(2424)
+    letters = "abcd"  # letter 2a + b stands for [a,b]
+    # the words of _lang_vector(_, 4): letter k of word w is (w // 4**k) % 4
+    words = [
+        "".join(letters[(w >> 2 * k) & 3] for k in range(n)) for n in range(5) for w in range(4**n)
+    ]
+    atoms = [f"[{b >> 1},{b & 1}]" for b in range(4)]
+    for _ in range(60):
+        pattern = rp._random_pattern(rng, rng.randint(1, 3), atoms)
+        spelled = re.sub(r"\[(\d),(\d)\]", lambda m: letters[2 * int(m[1]) + int(m[2])], pattern)
+        want = [bool(re.fullmatch(spelled, w)) for w in words]
+        assert rp._lang_vector(au.regex_compile(pattern, 2), 4) == want, pattern
+
+
+def test_regex_past_the_arity_limit_fails_before_the_subsets(monkeypatch):
+    def no_subsets(*args):
+        raise AssertionError("the subset construction ran")
+
+    monkeypatch.setattr(au, "_subsets", no_subsets)
+    with pytest.raises(au.ArityError, match=f"arity {au.MAX_ARITY + 1}"):
+        au.regex_compile("", au.MAX_ARITY + 1)
 
 
 def test_determinize_single_one():
@@ -198,6 +231,32 @@ def test_deserialize_errors():
             au.deserialize(f"fibaut 1\n{header}\n")
 
 
+_ONE_STATE = "fibaut 1\narity 1\nstates 1\ninitial 0\n"
+
+
+def test_deserialize_rejects_accepting_states_out_of_range():
+    with pytest.raises(au.AutomatonError, match="line 5: accepting state out of range"):
+        au.deserialize(_ONE_STATE + "accepting 0 5 -2\ntrans 0 [0] 0\ntrans 0 [1] 0\n")
+
+
+def test_deserialize_rejects_a_second_transition():
+    text = _ONE_STATE + "accepting 0\ntrans 0 [0] 0\ntrans 0 [1] 0\ntrans 0 [0] 0\n"
+    with pytest.raises(au.AutomatonError, match="line 8: second transition for state 0"):
+        au.deserialize(text)
+
+
+def test_deserialize_rejects_accepting_mixed_with_outputs():
+    trans = "trans 0 [0] 0\ntrans 0 [1] 0\n"
+    for body, line in (
+        ("accepting 0\noutput 0 2\n", 6),
+        ("output 0 2\naccepting 0\n", 6),
+        ("accepting 0\naccepting\n", 6),
+        ("output 0 2\noutput 0 3\n", 6),
+    ):
+        with pytest.raises(au.AutomatonError, match=f"line {line}:"):
+            au.deserialize(_ONE_STATE + body + trans)
+
+
 def test_export_dot_structure():
     v = arith.valid()
     dot = au.export_dot(v, "valid")
@@ -244,35 +303,6 @@ def test_malformed_words_are_rejected():
     with pytest.raises(au.AutomatonError, match="line 5"):
         au.deserialize("fibaut 1\narity 1\nstates 1\ninitial 0\ntrans 0 [2] 0\ntrans 0 [1] 0\n")
     assert eqr.accepts([(True, True), (0, 0)]) and valid.accepts(np.array([1, 0]))
-
-
-def test_random_nfa_determinize_agreement():
-    import random
-
-    rng = random.Random(4242)
-    for trial in range(15):
-        n = rng.randrange(1, 6)
-        moves = {}
-        for q in range(n):
-            for s in range(2):
-                moves[(q, s)] = tuple(
-                    t for t in range(n) if rng.random() < 0.4
-                )
-        initial = tuple(q for q in range(n) if rng.random() < 0.5) or (0,)
-        accepting = tuple(q for q in range(n) if rng.random() < 0.4)
-        nfa = au.Nfa(1, n, initial, accepting, moves)
-        dfa = au.determinize(nfa)
-
-        def nfa_accepts(word):
-            cur = set(nfa.initial)
-            for sym in word:
-                cur = set().union(*(nfa.moves.get((q, sym), ()) for q in cur)) if cur else set()
-            return bool(cur & nfa.accepting)
-
-        for length in range(0, 13):
-            for probe in range(min(1 << length, 64)):
-                word = [(probe >> i) & 1 for i in range(length)]
-                assert dfa.accepts(word) == nfa_accepts(word), (trial, word)
 
 
 def _walk_reference(a, cols):
@@ -602,18 +632,14 @@ def test_partial_state_count_matches_reference(arity):
 
 
 def test_subset_limit_is_enforced(monkeypatch):
-    """Regex compilation, determinization, E projection and padding
-    normalization all stop at SUBSET_LIMIT subsets."""
+    """Regex compilation, E projection and padding normalization all stop
+    at SUBSET_LIMIT subsets."""
     lt = arith.lt()
     sm = small_dfa("10(100*10)*0*")
-    # the third symbol from the end is 1: 8 subsets
-    nfa = au.Nfa(1, 4, (0,), (3,), {
-        (0, 0): (0,), (0, 1): (0, 1), (1, 0): (2,), (1, 1): (2,), (2, 0): (3,), (2, 1): (3,),
-    })
     monkeypatch.setattr(au, "SUBSET_LIMIT", 3)
     for build in (
+        # the third symbol from the end is 1: 8 subsets
         lambda: au.regex_compile("(0|1)*1(0|1)(0|1)", 1),
-        lambda: au.determinize(nfa),
         lambda: au.project(lt, 0),
         lambda: au.zero_normalize(sm),
     ):
