@@ -31,7 +31,6 @@ __all__ = [
     "linear",
     "fibword",
     "mod_dfao",
-    "BuiltinCatalog",
     "build_catalog",
     "CatalogError",
     "accepts_number_pairs",
@@ -51,15 +50,17 @@ def valid_tracks(k: int) -> Automaton:
     """Strings whose every track avoids adjacent 1s (leading zeros allowed)."""
     S = 1 << k
     dead = S
-    delta = np.empty((S + 1, S), dtype=np.int32)
-    for m in range(S):
-        for s in range(S):
-            delta[m, s] = dead if (m & s) else s
-    delta[dead, :] = dead
+    # state m < S remembers the last symbol; a symbol sharing a one with it dies
+    m, s = np.arange(S + 1)[:, None], np.arange(S)
+    delta = np.where(((m & s) != 0) | (m == dead), dead, s).astype(np.int32)
     outputs = np.ones(S + 1, dtype=np.int32)
     outputs[dead] = 0
     out = Automaton(k, delta, outputs, 0, zero_normalized=True)
-    return au.minimize(out)
+    # for k >= 1 this is already minimize's canonical form: a symbol with
+    # one bit kills exactly the last symbols that hold that bit, and from
+    # state 0 the BFS meets the states in number order (the dead one from
+    # state 1); for k = 0 the dead state is unreachable
+    return out if k else au.minimize(out)
 
 
 def valid() -> Automaton:
@@ -153,7 +154,7 @@ def leq() -> Automaton:
 
 # Induction on y; succ is defined from < alone, so no query has a + term.
 # zero and step give cand(x, y, x+y) and functional leaves no other z.
-_ADD_SUCC = ("succ", "x<y & ~(Ez x<z & z<y)")
+_ADD_SUCC = 'def succ "x<y & ~(Ez x<z & z<y)":'
 _ADD_CERT = [
     ("zero", "Ax $cand(x,0,x)"),
     ("total", "Ax,y Ez $cand(x,y,z)"),
@@ -177,7 +178,7 @@ def add() -> Automaton:
 def _certify_add(cand: Automaton) -> None:
     from . import synth
 
-    failed = synth.query_certificate("", _ADD_CERT, defs=[_ADD_SUCC])(cand, {}).failures
+    failed = synth.query_certificate("", _ADD_CERT, _ADD_SUCC)(cand, {}).failures
     if failed:
         raise CatalogError(f"add certificate fails {failed[0]}: {dict(_ADD_CERT)[failed[0]]}")
 
@@ -262,19 +263,6 @@ def mod_dfao(k: int, *, verify_bound: int = 100_000) -> Automaton:
 # -- the certified catalog ----------------------------------------------------
 
 
-class BuiltinCatalog(dict):
-    """Name -> automaton map every session starts from.
-
-    Built once (optionally persisted by the CLI store) and then shared
-    read-only.  Function automata are certified before they enter the
-    catalog; construction aborts on any certification failure.
-    """
-
-    @property
-    def names(self):
-        return sorted(self)
-
-
 _PHIN_CERT = [
     ("zero", '$cand(0,0)'),
     ("monotone", 'An,y,z ($cand(n,y) & $cand(n+1,z)) => z>y'),
@@ -287,6 +275,10 @@ _PHIN_CERT = [
     ),
 ]
 
+# floor(phi*(m+1)) - 1 is the value of m's Zeckendorf word with a 0 appended
+_PHIN_SHIFT = 'reg shift msd_fib msd_fib "([0,0]|[0,1][1,0])*":'
+_PHIN_DEF = 'def phin "(n=0 & z=0) | Ex,y $shift(x,y) & n=x+1 & z=y+1":'
+
 _BEATTY_DEFS = [
     ("a007067", 'Ex $phin(2*n,x) & z=(x+1)/2'),
     ("a007064", 'Ex $phin(2*n+1,x) & z=n+1+x/2'),
@@ -298,15 +290,16 @@ _BEATTY_DEFS = [
 ]
 
 
-def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> BuiltinCatalog:
-    """Construct and certify the builtin catalog."""
+def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> dict:
+    """Build the catalog, name -> automaton; function automata are certified
+    before they enter, and any failed certification aborts the build."""
     from . import logic, seqs, synth
 
     def note(msg):
         if progress:
             progress(msg)
 
-    cat = BuiltinCatalog()
+    cat = {}
     note("base relations")
     cat["valid"] = valid()
     cat["eq"] = eq()
@@ -314,24 +307,20 @@ def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> BuiltinCatalo
     cat["leq"] = leq()
     cat["add"] = add()
 
-    note("synthesizing phin")
-    phin_oracle = seqs.oracle("phi")
-    report = synth.synthesize_certified(
-        phin_oracle,
-        certificates=[synth.function_certificate("phin"), synth.query_certificate("phin", _PHIN_CERT)],
-        schedule=(4096, 16384, 65536),
-        catalog=cat,
-    )
-    if report.verdict != "CERTIFIED":
-        raise CatalogError(f"phin certification failed: {report.detail}")
-    phin = report.candidate
+    note("building phin")
+    session = logic.Session(cat)
+    session.run_script(f"{_PHIN_SHIFT}\n{_PHIN_DEF}")
+    phin = session.automaton("phin")
+    for cert in (synth.function_certificate("phin"), synth.query_certificate("phin", _PHIN_CERT)):
+        failed = cert(phin, cat).failures
+        if failed:
+            raise CatalogError(f"phin certificate fails {failed[0]}")
     bad = _first_miss(phin, phin_verify, seqs._vec_floor_phi)
     if bad is not None:
         raise CatalogError(f"phin disagrees with floor(phi n) at n={bad}")
     cat["phin"] = phin
 
     note("phi2n and Beatty relations")
-    session = logic.Session(cat)
     session.define("phi2n", "Ex $phin(n,x) & z=x+n")
     cat["phi2n"] = session.automaton("phi2n")
     for name, body in _BEATTY_DEFS:
@@ -362,7 +351,7 @@ def _first_miss(rel: Automaton, n: int, f) -> int | None:
     return None
 
 
-def _certify_beatty(cat: BuiltinCatalog, n: int) -> None:
+def _certify_beatty(cat: dict, n: int) -> None:
     from . import seqs
 
     for name in ("a007067", "a007064", "a004937", "a003623"):

@@ -890,9 +890,7 @@ def serialize(a: Automaton) -> str:
 
 
 def deserialize(text: str) -> Automaton:
-    arity = None
-    n = None
-    initial = 0
+    header: dict[str, int] = {}  # arity, states, initial: one line each
     accepting: tuple[int, set[int]] | None = None  # (line, states)
     outputs: dict[int, int] = {}
     trans: list[tuple[int, str, int, int]] = []
@@ -907,12 +905,10 @@ def deserialize(text: str) -> Automaton:
                 if line != FORMAT_MAGIC:
                     raise ValueError(f"expected {FORMAT_MAGIC!r} header")
                 magic_seen = True
-            elif parts[0] == "arity":
-                arity = int(parts[1])
-            elif parts[0] == "states":
-                n = int(parts[1])
-            elif parts[0] == "initial":
-                initial = int(parts[1])
+            elif parts[0] in ("arity", "states", "initial"):
+                if parts[0] in header:
+                    raise ValueError(f"second {parts[0]} line")
+                header[parts[0]] = int(parts[1])
             elif parts[0] == "accepting":
                 if accepting is not None or outputs:
                     raise ValueError("accepting cannot follow an accepting or output line")
@@ -929,8 +925,9 @@ def deserialize(text: str) -> Automaton:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except (ValueError, IndexError) as exc:
             raise AutomatonError(f"line {lineno}: {exc}") from None
-    if arity is None or n is None:
+    if "arity" not in header or "states" not in header:
         raise AutomatonError("missing arity/states header")
+    arity, n, initial = header["arity"], header["states"], header.get("initial", 0)
     if not (0 <= arity <= MAX_ARITY and n >= 1):
         raise AutomatonError(f"arity {arity} or states {n} out of range")
     if accepting is not None and not all(0 <= q < n for q in accepting[1]):

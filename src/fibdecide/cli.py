@@ -59,16 +59,11 @@ class Store:
             return au.zero_normalize(aut)
         return au.minimize(aut)
 
-    def names(self):
-        return sorted(p.stem for p in self.root.glob("*.aut"))
-
     def has_catalog(self) -> bool:
         return all(self.path(n).exists() for n in self.CATALOG_NAMES)
 
-    def load_catalog(self) -> arith.BuiltinCatalog:
-        cat = arith.BuiltinCatalog()
-        for name in self.CATALOG_NAMES:
-            cat[name] = self.load(name)
+    def load_catalog(self) -> dict:
+        cat = {name: self.load(name) for name in self.CATALOG_NAMES}
         cat["F"] = cat["fibword"]
         return cat
 
@@ -77,7 +72,7 @@ class Store:
             self.save(name, cat[name])
 
 
-def _build_catalog(args) -> arith.BuiltinCatalog:
+def _build_catalog(args) -> dict:
     store = Store(args.store)
     if store.has_catalog() and not args.rebuild:
         return store.load_catalog()

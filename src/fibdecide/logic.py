@@ -42,7 +42,6 @@ __all__ = [
     "Term",
     "parse_formula",
     "parse_script",
-    "free_vars",
     "CompiledQuery",
     "Compiler",
     "Session",
@@ -138,25 +137,6 @@ def _term_vars(t: Term) -> set:
     if isinstance(t, Const):
         return set()
     return _term_vars(t.left) | _term_vars(t.right)
-
-
-def free_vars(f: Formula) -> set:
-    if isinstance(f, Compare):
-        return _term_vars(f.left) | _term_vars(f.right)
-    if isinstance(f, Apply):
-        out = set()
-        for a in f.args:
-            out |= _term_vars(a)
-        return out
-    if isinstance(f, DfaoTest):
-        return _term_vars(f.arg)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, BoolOp):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Quant):
-        return free_vars(f.body) - set(f.names)
-    raise TypeError(f)
 
 
 # -- tokenizer ----------------------------------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "function_certificate",
     "query_certificate",
     "recurrence_certificate",
-    "certify_function",
     "synthesize_certified",
     "DEFAULT_SCHEDULE",
 ]
@@ -340,8 +339,11 @@ def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automat
 
 @dataclass
 class Verdict:
-    ok: bool
-    checks: list = field(default_factory=list)  # (name, bool)
+    checks: list = field(default_factory=list)  # (name, bool), up to the first FALSE
+
+    @property
+    def ok(self):
+        return all(good for _, good in self.checks)
 
     @property
     def failures(self):
@@ -376,17 +378,6 @@ class SynthesisReport:
         return "\n".join(lines) + "\n"
 
 
-CANDIDATE_NAME = "cand"
-
-
-def _session_with(candidate: Automaton, catalog):
-    from . import logic
-
-    session = logic.Session(catalog)
-    session.define_automaton(CANDIDATE_NAME, candidate)
-    return session
-
-
 def function_certificate(label: str):
     """Totality and uniqueness: exactly one x per n."""
     return query_certificate(label, [
@@ -395,26 +386,36 @@ def function_certificate(label: str):
     ])
 
 
-def query_certificate(label: str, queries, defs=()):
-    """Arbitrary closed queries; $cand refers to the candidate."""
+def query_certificate(label: str, queries, setup: str = ""):
+    """Closed queries over $cand, the candidate, after a setup script.
+
+    setup holds def/reg commands; it is parsed here, once, and run in the
+    candidate's session before the queries.  Each (name, body) query is
+    the check label_name (name alone without a label), and the first
+    FALSE check ends the certificate.
+    """
+    from . import logic
+
+    commands = logic.parse_script(setup)
 
     def run(candidate, catalog):
-        session = _session_with(candidate, catalog)
-        for name, body in defs:
-            session.define(name, body)
+        session = logic.Session(catalog)
+        session.define_automaton("cand", candidate)
+        for cmd in commands:
+            session.run_command(cmd)
         checks = []
         for name, body in queries:
             got = session.eval(body)
             checks.append((f"{label}_{name}" if label else name, got))
             if not got:
                 break
-        return Verdict(all(g for _, g in checks), checks)
+        return Verdict(checks)
 
     return run
 
 
-_ADJ_FIB = '[0,0]*[0,1][1,0][0,0]*'
-_ADJ_LUCAS = '[0,0]*[0,1][1,0][0,1][1,0][0,0]*'
+_ADJ_FIB = "[0,0]*[0,1][1,0][0,0]*"
+_BRACKETS = {"fib": _ADJ_FIB, "fib_nested": _ADJ_FIB, "lucas": "[0,0]*[0,1][1,0][0,1][1,0][0,0]*"}
 
 
 def recurrence_certificate(kind: str, x: int = 1, y: int = 1):
@@ -425,48 +426,18 @@ def recurrence_certificate(kind: str, x: int = 1, y: int = 1):
     kind 'lucas': a(k) = L(j+1) - a(k - L(j)) on Lucas brackets (j >= 3 via
     the bracket regex; smaller k pinned by explicit value checks).
     """
+    from . import seqs
 
-    def run(candidate, catalog):
-        from . import logic, seqs
-
-        session = _session_with(candidate, catalog)
-        c = CANDIDATE_NAME
-        checks = []
-        if kind in ("fib", "fib_nested"):
-            session.define_automaton("adjbracket", au.regex_compile(_ADJ_FIB, 2))
-            session.define("trapbracket", "$adjbracket(x,y) & x<k & y>=k")
-            if kind == "fib":
-                lhs = "y" if x == 1 else f"{x}*y"
-                rhs = "z+t" if y == 1 else f"z+{y}*t"
-                rec = (
-                    f"Ak,x,y,z,t ($trapbracket(k,x,y) & ${c}(k,z) & ${c}(k-x,t))"
-                    f" => {lhs}={rhs}"
-                )
-            else:
-                rec = (
-                    f"Ak,x,y,z,t,u ($trapbracket(k,x,y) & ${c}(k,z) & ${c}(k-x,t)"
-                    f" & ${c}(t,u)) => y=z+u"
-                )
-            checks.append(("recurrence", session.eval(rec)))
-            bases = [(0, 0), (1, 1)]
-        else:
-            session.define_automaton("adjbracket", au.regex_compile(_ADJ_LUCAS, 2))
-            session.define("trapbracket", "$adjbracket(x,y) & x<k & y>=k")
-            rec = (
-                f"Ak,x,y,z,t ($trapbracket(k,x,y) & ${c}(k,z) & ${c}(k-x,t))"
-                f" => y=z+t"
-            )
-            checks.append(("recurrence", session.eval(rec)))
-            bases = [(k, seqs.lucas_variant(k)) for k in range(5)]
-        for n, v in bases:
-            checks.append((f"base_{n}", session.eval(f"${c}({n},{v})")))
-        return Verdict(all(g for _, g in checks), checks)
-
-    return run
-
-
-def certify_function(candidate: Automaton, catalog) -> Verdict:
-    return function_certificate("function")(candidate, catalog)
+    setup = (f'reg adjbracket msd_fib msd_fib "{_BRACKETS[kind]}":\n'
+             'def trapbracket "$adjbracket(x,y) & x<k & y>=k":')
+    step = f"Ak,x,y,z,t ($trapbracket(k,x,y) & $cand(k,z) & $cand(k-x,t)) => {x}*y=z+{y}*t"
+    if kind == "fib_nested":
+        step = ("Ak,x,y,z,t,u ($trapbracket(k,x,y) & $cand(k,z) & $cand(k-x,t)"
+                " & $cand(t,u)) => y=z+u")
+    bases = [(k, seqs.lucas_variant(k)) for k in range(5)] if kind == "lucas" else [(0, 0), (1, 1)]
+    return query_certificate(
+        "", [("recurrence", step)] + [(f"base_{n}", f"$cand({n},{v})") for n, v in bases], setup
+    )
 
 
 def synthesize_certified(
@@ -498,7 +469,7 @@ def synthesize_certified(
             except au.DeterminizationLimit as exc:
                 # a blown-up query is evidence of a junk candidate, not of
                 # the property: treat as a failed check and escalate
-                verdict = Verdict(False, [("engine_limit", False)])
+                verdict = Verdict([("engine_limit", False)])
                 last_detail = str(exc)
             checks.extend(verdict.checks)
             if not verdict.ok:

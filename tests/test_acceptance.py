@@ -24,6 +24,7 @@ from fibdecide import cli
 from fibdecide import logic
 from fibdecide import reproduce as rp
 from fibdecide import seqs
+from fibdecide import synth
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +241,38 @@ def test_catalog_relations_and_state_counts_are_golden(reproduction, results):
     assert results["variant_state_counts"].detail == (
         "a21=22 (expected 22), nestedb=24 (expected 24), lucasvar=102 (expected 102)"
     )
+
+
+def test_warm_certified_step_reruns_the_certificates_its_job_lists(
+        reproduction, tmp_path, monkeypatch):
+    """With every relation in the store nothing is learned, and the
+    a105774_certified step runs the a105774 job's own certificates."""
+    run, _ = reproduction
+    store = cli.Store(tmp_path / "store")
+    store.save_catalog(run.catalog)
+    for name, rel in run.relations.items():
+        store.save(name, rel)
+    ran = []
+
+    def spy(factory):
+        def make(*args, **kwargs):
+            cert = factory(*args, **kwargs)
+
+            def spied(candidate, catalog):
+                ran.append(spied)
+                return cert(candidate, catalog)
+
+            return spied
+
+        return make
+
+    for factory in ("function_certificate", "recurrence_certificate"):
+        monkeypatch.setattr(synth, factory, spy(getattr(synth, factory)))
+    warm = rp.Reproduction(store=store)
+    warm.prepare()
+    assert warm.reports == {}
+    assert warm._c1_certified() == (True, "certificates re-run from store")
+    assert ran == warm.certificates["a105774"] and len(ran) == 2
 
 
 # the same digests of the mod-k DFAOs for k = 2..5, recorded when mod_dfao

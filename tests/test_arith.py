@@ -22,6 +22,29 @@ def test_valid_examples():
     assert v.zero_normalized
 
 
+def _valid_tracks_by_loop(k):
+    """valid_tracks(k) from its table filled one entry at a time: state m
+    is the last symbol, and a symbol sharing a one with it goes to dead."""
+    S = 1 << k
+    dead = S
+    delta = np.empty((S + 1, S), dtype=np.int32)
+    for m in range(S):
+        for s in range(S):
+            delta[m, s] = dead if (m & s) else s
+    delta[dead, :] = dead
+    outputs = np.ones(S + 1, dtype=np.int32)
+    outputs[dead] = 0
+    return au.minimize(au.Automaton(k, delta, outputs, 0, zero_normalized=True))
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_valid_tracks_matches_the_loop_reference(k):
+    got, want = arith.valid_tracks(k), _valid_tracks_by_loop(k)
+    assert got.initial == want.initial and got.zero_normalized and want.zero_normalized
+    assert got.delta.dtype == want.delta.dtype and got.outputs.dtype == want.outputs.dtype
+    assert au.serialize(got) == au.serialize(want)
+
+
 def test_eq_lt_leq_examples():
     assert arith.eq().accepts_numbers(5, 5)
     assert not arith.eq().accepts_numbers(5, 6)
@@ -260,6 +283,7 @@ def test_linear_rejects_too_many_tracks_before_building():
 
 
 def test_catalog_contents(catalog):
+    assert type(catalog) is dict
     for name in ("valid", "eq", "lt", "leq", "add", "phin", "phi2n",
                  "a007067", "a007064", "a004937", "a003623", "a035487",
                  "fibword", "F"):
@@ -278,6 +302,34 @@ def test_phin_steps(catalog):
 
     s = logic.Session(catalog)
     assert s.eval("An,y,z ($phin(n,y) & $phin(n+1,z)) => (z=y+1 | z=y+2)")
+
+
+def test_wrong_phin_definition_fails_its_certificate(monkeypatch):
+    """phin is built from its definition and certified before it enters the
+    catalog: an off-by-one definition is a CatalogError naming the check."""
+    monkeypatch.setattr(arith, "_PHIN_DEF", arith._PHIN_DEF.replace("z=y+1", "z=y+2"))
+    with pytest.raises(arith.CatalogError, match="^phin certificate fails phin_wythoff$"):
+        arith.build_catalog(phin_verify=1 << 10)
+
+
+def test_phin_certificates_reject_every_differing_mutant(catalog):
+    """Redirect each transition of phin to the next state: a mutant passes
+    the function certificate and _PHIN_CERT exactly when its admitted form
+    is phin's."""
+    from fibdecide import synth
+
+    phin = catalog["phin"]
+    certs = [synth.function_certificate("phin"), synth.query_certificate("phin", arith._PHIN_CERT)]
+    differing = 0
+    for q in range(phin.n_states):
+        for sym in range(4):
+            delta = phin.delta.copy()
+            delta[q, sym] = (delta[q, sym] + 1) % phin.n_states
+            mutant = au.Automaton(2, delta, phin.outputs, phin.initial)
+            same = au.equivalent(_admitted(mutant), phin)
+            differing += not same
+            assert all(cert(mutant, catalog).ok for cert in certs) == same, (q, sym)
+    assert differing > 0
 
 
 def test_beatty_partition_inside_engine(catalog):

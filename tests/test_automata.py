@@ -257,6 +257,15 @@ def test_deserialize_rejects_accepting_mixed_with_outputs():
             au.deserialize(_ONE_STATE + body + trans)
 
 
+@pytest.mark.parametrize("directive, value", [("arity", 2), ("states", 2), ("initial", 1)])
+def test_deserialize_rejects_a_second_header_line(directive, value):
+    """A repeated arity, states or initial line is an error naming it, not
+    a silent override of the first."""
+    text = _ONE_STATE + f"{directive} {value}\naccepting 0\ntrans 0 [0] 0\ntrans 0 [1] 0\n"
+    with pytest.raises(au.AutomatonError, match=f"line 5: second {directive} line"):
+        au.deserialize(text)
+
+
 def test_export_dot_structure():
     v = arith.valid()
     dot = au.export_dot(v, "valid")
@@ -652,7 +661,7 @@ def test_refinement_survives_hash_collisions(catalog, monkeypatch):
     its rows by sorting them as bytes; the canonical forms and the reported
     counts come out the same."""
     rng = np.random.default_rng(5)
-    auts = [catalog[name] for name in catalog.names]
+    auts = [catalog[name] for name in sorted(catalog)]
     auts += [_random_dfao(rng, arity, n_states=20) for arity in (1, 2, 3) for _ in range(5)]
     want = [au.minimize(a) for a in auts]
     valid = arith.valid()

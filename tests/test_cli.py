@@ -23,7 +23,7 @@ def run_cli(args, warm_store):
 def test_store_roundtrip(tmp_path, catalog):
     store = cli.Store(tmp_path / "s")
     store.save("eq", catalog["eq"])
-    assert "eq" in store.names()
+    assert [p.name for p in store.root.iterdir()] == ["eq.aut"]
     back = store.load("eq")
     assert au.equivalent(back, catalog["eq"])
     assert store.load("missing") is None

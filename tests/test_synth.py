@@ -4,6 +4,7 @@ import pytest
 import reference_synth
 from fibdecide import arith
 from fibdecide import automata as au
+from fibdecide import logic
 from fibdecide import seqs
 from fibdecide import synth
 
@@ -20,7 +21,8 @@ def test_guess_synchronized_floor_phi(catalog):
 
 
 def test_certify_function_examples(catalog):
-    good = synth.certify_function(arith.eq(), catalog)
+    certificate = synth.function_certificate("fn")
+    good = certificate(arith.eq(), catalog)
     assert good.ok and good.failures == []
     # a relation accepting both (0,0) and (0,1) fails uniqueness
     c0, c1 = arith.linear((1,), 0), arith.linear((1,), -1)
@@ -29,9 +31,9 @@ def test_certify_function_examples(catalog):
         au.intersect(au.cylindrify(c0, [0], 2), au.cylindrify(c1, [1], 2)),
     )
     bad_rel = au.zero_normalize(au.union(c01, arith.eq()))
-    bad = synth.certify_function(bad_rel, catalog)
+    bad = certificate(bad_rel, catalog)
     assert not bad.ok
-    assert "fn_unique" in bad.failures or "function_unique" in bad.failures
+    assert bad.checks == [("fn_total", True), ("fn_unique", False)]
 
 
 def test_function_certificate_check_names(catalog):
@@ -43,9 +45,36 @@ def test_certify_recurrence_main(catalog):
     rel = synth.guess_synchronized(seqs.oracle("a105774"), 16384)
     verdict = synth.recurrence_certificate("fib")(rel, catalog)
     assert verdict.ok
-    # the identity relation does not satisfy the recurrence
+    # the identity relation does not satisfy the recurrence; as in every
+    # certificate, the checks stop at the first FALSE one
     wrong = synth.recurrence_certificate("fib")(arith.eq(), catalog)
-    assert not wrong.ok
+    assert not wrong.ok and wrong.checks == [("recurrence", False)]
+
+
+def test_query_certificate_runs_its_setup_before_the_queries(catalog):
+    setup = 'reg one msd_fib "0*1":\ndef two "Ex $one(x) & n=x+x":'
+    certificate = synth.query_certificate("c", [
+        ("two", "$two(2)"),
+        ("three", "$two(3)"),
+        ("never", "$cand(0,0)"),
+    ], setup)
+    verdict = certificate(arith.eq(), catalog)
+    assert verdict.checks == [("c_two", True), ("c_three", False)]
+    assert not verdict and verdict.failures == ["c_three"]
+
+
+def test_verdict_is_derived_from_its_checks():
+    assert synth.Verdict([]).ok
+    assert synth.Verdict([("a", True), ("b", True)]).ok
+    failed = synth.Verdict([("a", True), ("b", False)])
+    assert not failed.ok and not failed and failed.failures == ["b"]
+
+
+def test_unit_coefficients_compile_as_the_bare_step(catalog):
+    """recurrence_certificate states the step as x*y=z+y*t for every x, y;
+    with x = y = 1 that is the automaton of y=z+t."""
+    session = logic.Session(catalog)
+    assert au.equivalent(session.compile("1*y=z+1*t").aut, session.compile("y=z+t").aut)
 
 
 def test_synthesize_certified_reports(catalog):
