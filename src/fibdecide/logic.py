@@ -736,6 +736,11 @@ class Compiler:
             hit = self._value_dfa_cache[(name, value)] = (aut, au.zero_normalize(valid))
         return hit[1]
 
+    def admitted(self, name: str, aut: Automaton) -> None:
+        """Take aut, stored as name, as its own _value_dfa for value 1: the
+        compiler's output is already valid-only, zero-normalized and minimal."""
+        self._value_dfa_cache[(name, 1)] = (aut, aut)
+
 
 def _conjuncts(f: Formula) -> list:
     """The conjuncts of an &-chain."""
@@ -842,6 +847,8 @@ class Session:
     def define(self, name: str, source, force: bool = False) -> Automaton:
         q = self.compile(source)
         self._store(name, q.aut, force)
+        if self._lookup(name) is q.aut:  # not an equivalent restatement
+            self.compiler.admitted(name, q.aut)
         return q.aut
 
     def _store(self, name, aut, force):

@@ -479,6 +479,20 @@ def test_mod_dfao_examples():
         arith.mod_dfao(1)
 
 
+def test_mod_dfao_check_names_the_first_wrong_n(monkeypatch):
+    """The check runs one RUN_BLOCK of n at a time and still names the first
+    n at which the outputs disagree, here in its third block."""
+    real = arith.dfao_values
+
+    def corrupted(aut, ns):
+        return real(aut, ns) + (ns == 70_000)
+
+    monkeypatch.setattr(arith, "dfao_values", corrupted)
+    with pytest.raises(arith.CatalogError, match=r"^mod-3 DFAO wrong at n=70000$"):
+        arith.mod_dfao(3)
+    arith.mod_dfao(3, verify_bound=70_000)  # every n below it still checks
+
+
 def test_mod2_matches_engine_even(catalog):
     from fibdecide import logic
 

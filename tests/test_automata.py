@@ -1,5 +1,8 @@
+import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -640,6 +643,27 @@ def test_partial_state_count_matches_reference(arity):
         assert au.partial_state_count(a, valid) == _partial_state_count_reference(a, valid)
 
 
+def test_partial_state_count_leaves_numpy_ma_unloaded():
+    """numpy 2 imports numpy.ma lazily inside a bare np.unique; a state count
+    in a fresh process does not pay that import."""
+    code = (
+        "import sys, numpy\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from fibdecide import arith, automata as au\n"
+        "m3, valid = arith.mod_dfao(3, verify_bound=2000), arith.valid()\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "assert au.partial_state_count(m3, valid) == 18\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(au.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    at_import, before, after = out.stdout.split()
+    if at_import == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert (before, after) == ("False", "False")
+
+
 def test_subset_limit_is_enforced(monkeypatch):
     """Regex compilation, E projection and padding normalization all stop
     at SUBSET_LIMIT subsets."""
@@ -657,12 +681,16 @@ def test_subset_limit_is_enforced(monkeypatch):
 
 
 def test_refinement_survives_hash_collisions(catalog, monkeypatch):
-    """With zero row weights every row hashes alike, so every round groups
-    its rows by sorting them as bytes; the canonical forms and the reported
-    counts come out the same."""
+    """With zero row weights every row hashes alike, so every numpy round
+    groups its rows by sorting them as bytes; the canonical forms and the
+    reported counts come out the same.  The automata of 100 states have
+    _ROW_CELLS cells or more, so the default threshold sends them to the
+    numpy rounds; the patched one sends every automaton there."""
     rng = np.random.default_rng(5)
     auts = [catalog[name] for name in sorted(catalog)]
     auts += [_random_dfao(rng, arity, n_states=20) for arity in (1, 2, 3) for _ in range(5)]
+    auts += [_random_dfao(rng, arity, n_states=100) for arity in (2, 3) for _ in range(3)]
+    assert sum(a.delta.size >= au._ROW_CELLS for a in auts) >= 6
     want = [au.minimize(a) for a in auts]
     valid = arith.valid()
     mods = {k: arith.mod_dfao(k, verify_bound=2000) for k in (2, 3)}
@@ -675,12 +703,16 @@ def test_refinement_survives_hash_collisions(catalog, monkeypatch):
 
     monkeypatch.setattr(au, "_ROW_WEIGHTS", np.zeros_like(au._ROW_WEIGHTS))
     monkeypatch.setattr(np, "unique", spy)
-    for a, m in zip(auts, want):
-        got = au.minimize(a)
-        assert np.array_equal(got.delta, m.delta) and np.array_equal(got.outputs, m.outputs)
+    for cells in (au._ROW_CELLS, 0):
+        monkeypatch.setattr(au, "_ROW_CELLS", cells)
+        for a, m in zip(auts, want):
+            got = au.minimize(a)
+            assert np.array_equal(got.delta, m.delta) and np.array_equal(got.outputs, m.outputs)
+        assert True in byte_sorts, cells  # the byte sort ran inside minimize
+        byte_sorts.clear()
     for k, dfao in mods.items():
         assert au.partial_state_count(dfao, valid) == 2 * k * k
-    assert True in byte_sorts  # the byte-sort path ran
+    assert True in byte_sorts  # and inside partial_state_count
 
 
 def _moore_reference(delta, outputs):
@@ -725,6 +757,38 @@ def test_moore_partition_matches_reference(arity):
         a = au.Automaton(arity, delta, outputs, 0)
         m, r = au.minimize(a), au.minimize(_reachable_part(a))
         assert np.array_equal(m.delta, r.delta) and np.array_equal(m.outputs, r.outputs), trial
+
+
+def _twin_automaton(rng, arity, n_values):
+    """A seeded DFA or DFAO of 2m live states where q and q + m are twins
+    (same output; each move goes to a twin of the same target), plus up to
+    7 states no path from state 0 reaches: 3 to 127 states in all."""
+    S = 1 << arity
+    m, dead = int(rng.integers(1, 61)), int(rng.integers(0, 8))
+    n = 2 * m + dead
+    live = np.tile(rng.integers(0, m, (m, S)), (2, 1)) + m * rng.integers(0, 2, (2 * m, S))
+    delta = np.vstack([live, rng.integers(0, n, (dead, S))])
+    outputs = np.append(np.tile(rng.integers(0, n_values, m), 2), rng.integers(0, n_values, dead))
+    return au.Automaton(arity, delta, outputs, 0)
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+def test_row_and_numpy_refinement_agree(arity, monkeypatch):
+    """_row_partition gives the classes of the plain-Python Moore reference,
+    and minimize gives identical arrays whichever side of _ROW_CELLS it
+    refines on, for seeded DFAs and DFAOs with twin and unreachable states."""
+    rng = np.random.default_rng(arity + 501)
+    for trial in range(40):
+        a = _twin_automaton(rng, arity, 2 if trial % 2 else 4)
+        got = au._row_partition(a.delta.tolist(), a.outputs.tolist())
+        want = _moore_reference(a.delta, a.outputs)
+        assert len(set(zip(got, want))) == len(set(got)) == len(set(want)), trial
+        forms = []
+        for cells in (0, 1 << 30):  # every automaton on numpy rounds, then on rows
+            monkeypatch.setattr(au, "_ROW_CELLS", cells)
+            forms.append(au.minimize(a))
+        _assert_same_automaton(forms[1], forms[0], trial)
+        assert forms[0].n_states <= a.n_states // 2 + 7, trial  # twins merge
 
 
 @pytest.mark.parametrize("arity", [0, 1, 2, 3])

@@ -576,6 +576,20 @@ def test_in_order_atom_skips_orientation(session, monkeypatch):
     assert swapped.aut.accepts_numbers(7, 6) and not swapped.aut.accepts_numbers(6, 7)
 
 
+def test_defined_automaton_is_applied_without_readmission(session, monkeypatch):
+    """A compiled query's automaton is already valid-only, zero-normalized
+    and minimal, so its first use by name after def is that automaton, with
+    no intersect and no zero_normalize."""
+    ev = session.define("ev", "Ek n=2*k")
+    calls = []
+    for name in ("intersect", "zero_normalize"):
+        real = getattr(au, name)
+        monkeypatch.setattr(au, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    q = session.compile("$ev(n)")
+    assert calls == [] and q.variables == ("n",) and q.aut is ev
+    assert q.aut.accepts_numbers(4) and not q.aut.accepts_numbers(5)
+
+
 def test_subset_limit_names_the_eliminated_variable(session, monkeypatch):
     arith.lt()  # the relation itself is built without the limit
     monkeypatch.setattr(au, "SUBSET_LIMIT", 3)
