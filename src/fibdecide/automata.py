@@ -788,9 +788,8 @@ def partial_state_count(a: Automaton, domain: Automaton) -> int:
     outkey = np.where(d_acc, a_out, -1).astype(np.int64)
     sink_key = int(outkey.min()) - 1
     outkey = np.append(np.where(useful, outkey, sink_key), sink_key)
-    ids = _moore_partition(delta, outkey)
-    reach = set(ids[_reachable_order(delta, p.initial)].tolist())
-    return len(reach - {int(ids[n])})
+    m = minimize(Automaton(p.arity, delta, outkey, p.initial))
+    return m.n_states - int(sink_key in m.outputs)
 
 
 # -- regular expressions ---------------------------------------------------

@@ -4,9 +4,12 @@ distinctness decisions, state counts, closed forms, regex
 characterizations, and the randomized property checks.
 
 The scripted identities run through the query engine exactly as written
-for Walnut-style provers (`?msd_fib` headers and all); the synthesized
-relation automata are produced by guess-and-check and injected into the
-session before the script runs.
+for Walnut-style provers (`?msd_fib` headers and all).  Before the script
+runs, six relations are learned by guess-and-check, and p0, p1 and p2, the
+positions of the 0s, 1s and 2s of C (how often a105774 takes each n), are
+built from their Beatty forms over the catalog.  So checkp1, checkp2 and
+chk0 hold by construction; the claim that these Beatty sequences are the
+positions lives in chek1a, chek2a and the three range certificates.
 """
 
 from __future__ import annotations
@@ -212,6 +215,15 @@ SCRIPT_EVALS = [
 # oracle comparisons and regex scans cover the first _VERIFY_BOUND values
 _VERIFY_BOUND = 100_000
 
+# the positions of 0s, 1s and 2s in C as Beatty forms over the catalog,
+# each with the script's body of "n is taken exactly i times"
+_POSITIONS = [
+    ("p0", "Ex x=n+1 & $a004937(x,z)", "~Ex $a105774(x,n)"),
+    ("p1", "(n=0 & z=0) | (n>=1 & Ex,y x+1=n & $a007064(x,y) & $a007067(y,z))",
+     "(Ex $a105774(x,n)) & ~(Ex,y x<y & $a105774(x,n) & $a105774(y,n))"),
+    ("p2", "$a007064(n,z)", "Ex,y x<y & $a105774(x,n) & $a105774(y,n)"),
+]
+
 
 class Reproduction:
     """Builds everything once, then replays the whole checklist."""
@@ -252,23 +264,14 @@ class Reproduction:
             if self.store is not None:
                 self.store.save_catalog(self.catalog)
 
+        fn, rec = synth.function_certificate("fn"), synth.recurrence_certificate
         jobs = [
-            ("a105774", "a105774",
-             [synth.function_certificate("fn"), synth.recurrence_certificate("fib")]),
-            ("p0", "p0", [synth.function_certificate("fn")]),
-            ("p1", "p1", [synth.function_certificate("fn")]),
-            ("p2", "p2", [synth.function_certificate("fn")]),
-            ("a368200", "sorted", [synth.function_certificate("fn")]),
-            ("aprime", "distinct", [synth.function_certificate("fn")]),
-            ("a21", "axy_2_1",
-             [synth.function_certificate("fn"),
-              synth.recurrence_certificate("fib", x=2, y=1)]),
-            ("nestedb", "nested",
-             [synth.function_certificate("fn"),
-              synth.recurrence_certificate("fib_nested")]),
-            ("lucasvar", "lucas_variant",
-             [synth.function_certificate("fn"),
-              synth.recurrence_certificate("lucas")]),
+            ("a105774", "a105774", [fn, rec("fib")]),
+            ("a368200", "sorted", [fn]),
+            ("aprime", "distinct", [fn]),
+            ("a21", "axy_2_1", [fn, rec("fib", x=2, y=1)]),
+            ("nestedb", "nested", [fn, rec("fib_nested")]),
+            ("lucasvar", "lucas_variant", [fn, rec("lucas")]),
         ]
         for name, oracle_name, certs in jobs:
             self.certificates[name] = certs
@@ -280,23 +283,37 @@ class Reproduction:
                 )
                 self.reports[name] = report
                 if report.verdict != "CERTIFIED":
-                    raise arith.CatalogError(
-                        f"{name} failed certification: {report.detail}"
-                    )
+                    raise arith.CatalogError(f"{name} failed certification: {report.detail}")
                 return report.candidate
             self.relations[name] = self._cached(name, build)
 
+        # p0-p2 are compiled from their Beatty forms; the range certificate
+        # needs the certified a105774 beside the catalog
         session = logic.Session(self.catalog)
+        with_a105774 = dict(self.catalog, a105774=self.relations["a105774"])
+        for name, body, taken in _POSITIONS:
+            certs = [fn, synth.query_certificate("range", [
+                ("increasing", "An,y,z ($cand(n,y) & $cand(n+1,z)) => z>y"),
+                ("positions", f"An (Ek $cand(k,n)) <=> ({taken})"),
+            ])]
+            self.certificates[name] = certs
+            self.progress(f"building {name}")
+            def build(name=name, body=body, certs=certs):
+                rel = session.compile(body).aut
+                for cert in certs:
+                    failed = cert(rel, with_a105774).failures
+                    if failed:
+                        raise arith.CatalogError(f"{name} certificate fails {failed[0]}")
+                bad = arith._first_miss(rel, _VERIFY_BOUND, seqs.oracle(name).batch)
+                if bad is not None:
+                    raise arith.CatalogError(f"{name} disagrees with its oracle at n={bad}")
+                return rel
+            self.relations[name] = self._cached(name, build)
+
         for name in ("a105774", "p0", "p1", "p2", "a368200", "aprime"):
             session.define_automaton(name, self.relations[name])
-        session.define_automaton(
-            "suffminre",
-            au.zero_normalize(au.regex_compile(SUFFIX_MINIMA_REGEX, 1)),
-        )
-        session.define_automaton(
-            "fixedre",
-            au.zero_normalize(au.regex_compile(FIXED_POINT_REGEX, 1)),
-        )
+        for name, pattern in (("suffminre", SUFFIX_MINIMA_REGEX), ("fixedre", FIXED_POINT_REGEX)):
+            session.define_automaton(name, au.zero_normalize(au.regex_compile(pattern, 1)))
         self.session = session
         return session
 
@@ -353,14 +370,11 @@ class Reproduction:
         return rep.verdict == "CERTIFIED", f"samples={rep.samples_used}"
 
     def _c1_oracle(self):
-        n = _VERIFY_BOUND
-        want = seqs.oracle("a105774").table(n)
-        ok = arith.accepts_number_pairs(
-            self.relations["a105774"], np.arange(n), want
-        )
-        if not bool(ok.all()):
-            return False, f"first disagreement at n={int(np.flatnonzero(~ok)[0])}"
-        return True, f"exact match for n < {n}"
+        rel, oracle = self.relations["a105774"], seqs.oracle("a105774")
+        bad = arith._first_miss(rel, _VERIFY_BOUND, oracle.batch)
+        if bad is not None:
+            return False, f"first disagreement at n={bad}"
+        return True, f"exact match for n < {_VERIFY_BOUND}"
 
     def _c2_script(self):
         report = self.session.run_script(SCRIPT)

@@ -358,24 +358,9 @@ class SynthesisReport:
     oracle_name: str
     candidate: Automaton | None
     samples_used: int
-    verdict: str  # CERTIFIED | FAILED | EXHAUSTED
+    verdict: str  # CERTIFIED | EXHAUSTED
     checks: list = field(default_factory=list)
     detail: str = ""
-
-    def to_text(self) -> str:
-        lines = [
-            f"oracle {self.oracle_name}",
-            f"samples {self.samples_used}",
-            f"verdict {self.verdict}",
-        ]
-        for name, good in self.checks:
-            lines.append(f"check {name} {'TRUE' if good else 'FALSE'}")
-        if self.detail:
-            lines.append(f"detail {self.detail}")
-        if self.candidate is not None:
-            lines.append("candidate")
-            lines.append(au.serialize(self.candidate))
-        return "\n".join(lines) + "\n"
 
 
 def function_certificate(label: str):

@@ -275,6 +275,82 @@ def test_warm_certified_step_reruns_the_certificates_its_job_lists(
     assert ran == warm.certificates["a105774"] and len(ran) == 2
 
 
+LEARNED = {"a105774", "a368200", "aprime", "a21", "nestedb", "lucasvar"}
+
+
+def _store_with(run, path, names):
+    store = cli.Store(path)
+    store.save_catalog(run.catalog)
+    for name in names:
+        store.save(name, run.relations[name])
+    return store
+
+
+def test_prepare_learns_six_relations_and_builds_the_positions(
+        reproduction, tmp_path, monkeypatch):
+    run, _ = reproduction
+    assert set(run.reports) == LEARNED
+    learned, said = [], []
+    real = synth.synthesize_certified
+
+    def spy(oracle, *args, **kwargs):
+        learned.append(oracle.name)
+        return real(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "synthesize_certified", spy)
+    cold = rp.Reproduction(store=_store_with(run, tmp_path / "store", []), progress=said.append)
+    cold.prepare()
+    assert set(cold.reports) == LEARNED
+    assert not {"p0", "p1", "p2"} & set(learned) and len(learned) == 6
+    assert "building p0" in said and "synthesizing p0" not in said
+    assert {name: _digest(aut) for name, aut in cold.relations.items()} == RELATIONS
+
+
+def test_range_certificate_rejects_position_mutants(reproduction):
+    """Each mutant passes the function certificate and fails one named
+    check of its range certificate."""
+    run, _ = reproduction
+    with_c = dict(run.catalog, a105774=run.relations["a105774"])
+    session = logic.Session(with_c)
+    session.define_automaton("p1", run.relations["p1"])
+    swapped = session.compile(
+        "($p1(n,z) & n!=5 & n!=6) | (n=5 & $p1(6,z)) | (n=6 & $p1(5,z))").aut
+    shifted = session.compile("Ex x=n+2 & $a004937(x,z)").aut
+    for name, mutant, check in [("p1", swapped, "range_increasing"),
+                                ("p0", shifted, "range_positions"),
+                                ("p1", run.relations["p2"], "range_positions")]:
+        fn, positions = run.certificates[name]
+        assert fn(mutant, with_c).ok
+        assert positions(mutant, with_c).failures == [check], name
+        assert positions(run.relations[name], with_c).ok
+    # the 0s of C, which no script eval states, are decided too
+    assert run.session.eval("An C[n]=@0 <=> Ek $p0(k,n)")
+
+
+def test_wrong_position_definition_is_refused(reproduction, tmp_path, monkeypatch):
+    run, _ = reproduction
+    wrong = [("p0", "Ex x=n+2 & $a004937(x,z)", rp._POSITIONS[0][2])] + rp._POSITIONS[1:]
+    monkeypatch.setattr(rp, "_POSITIONS", wrong)
+    store = _store_with(run, tmp_path / "store", LEARNED)
+    with pytest.raises(arith.CatalogError, match="^p0 certificate fails range_positions$"):
+        rp.Reproduction(store=store).prepare()
+
+
+def test_position_disagreeing_with_its_oracle_is_refused(reproduction, tmp_path, monkeypatch):
+    run, _ = reproduction
+    real = seqs.oracle
+
+    class Off:
+        # p1's oracle, one too high from n = 1234 on
+        def batch(self, ns):
+            return real("p1").batch(ns) + (ns >= 1234)
+
+    monkeypatch.setattr(seqs, "oracle", lambda name: Off() if name == "p1" else real(name))
+    store = _store_with(run, tmp_path / "store", LEARNED)
+    with pytest.raises(arith.CatalogError, match="^p1 disagrees with its oracle at n=1234$"):
+        rp.Reproduction(store=store).prepare()
+
+
 # the same digests of the mod-k DFAOs for k = 2..5, recorded when mod_dfao
 # still learned them; the build from the (p, q) balance gives these bytes
 MOD_DFAOS = {

@@ -86,8 +86,6 @@ def test_synthesize_certified_reports(catalog):
     )
     assert report.verdict == "CERTIFIED"
     assert report.samples_used == 16384
-    text = report.to_text()
-    assert "CERTIFIED" in text and "fibaut 1" in text
 
 
 def test_synthesize_exhaustion_on_hard_case(catalog, monkeypatch):
