@@ -6,6 +6,10 @@ the compiler reaches constant multiples and quotients through it), plus
 the certified catalog of named automata every session starts from: the
 Beatty function automata, the Fibonacci-word DFAO and mod-k DFAOs.
 
+Every automaton built from a definition enters through :func:`admit`
+(certificates, then a blockwise oracle check); only addition, which every
+certificate needs, is checked on its own.
+
 All catalog automata are zero-normalized, minimized, and accept only
 strings whose tracks are valid (no adjacent 1s); relations therefore talk
 about numbers, with padding conventions handled once here.
@@ -31,6 +35,7 @@ __all__ = [
     "linear",
     "fibword",
     "mod_dfao",
+    "admit",
     "build_catalog",
     "CatalogError",
     "accepts_number_pairs",
@@ -203,14 +208,13 @@ def fibword() -> Automaton:
     """DFAO computing the Fibonacci word: value at n = last digit of encode(n).
 
     Two states suffice because the output only remembers the previous
-    digit; the value at 0 (empty input) is 0.  Certified against the
-    morphism 0 -> 01, 1 -> 0 in :func:`_certify_fibword`.
+    digit; the value at 0 (empty input) is 0.  Admitted against the
+    morphism 0 -> 01, 1 -> 0 (:func:`fibword_prefix`) below 100,000.
     """
     delta = np.array([[0, 1], [0, 1]], dtype=np.int32)
     outputs = np.array([0, 1], dtype=np.int32)
     aut = au.minimize(Automaton(1, delta, outputs, 0))
-    _certify_fibword(aut, 100_000)
-    return aut
+    return admit("fibword", aut, [], {}, fibword_prefix(100_000).__getitem__, 100_000)
 
 
 def fibword_prefix(n: int) -> np.ndarray:
@@ -227,14 +231,6 @@ def fibword_prefix(n: int) -> np.ndarray:
     return word[:n]
 
 
-def _certify_fibword(aut: Automaton, n: int) -> None:
-    got = dfao_values(aut, np.arange(n))
-    want = fibword_prefix(n)
-    if not np.array_equal(got, want):
-        bad = int(np.flatnonzero(got != want)[0])
-        raise CatalogError(f"fibword DFAO disagrees with the morphism at n={bad}")
-
-
 # -- mod-k DFAO --------------------------------------------------------------
 
 
@@ -243,7 +239,7 @@ def mod_dfao(k: int, *, verify_bound: int = 100_000) -> Automaton:
 
     A state is the pair (p, q) mod k of the value p*F(m+2) + q*F(m+1)
     after a prefix; digit d maps it to ((p + q + d) mod k, p) and the
-    output is (p + q) mod k.  The k*k states are minimized and checked
+    output is (p + q) mod k.  The k*k states are minimized and admitted
     against n mod k for n < verify_bound.
     """
     if k < 2:
@@ -251,15 +247,9 @@ def mod_dfao(k: int, *, verify_bound: int = 100_000) -> Automaton:
     pq = np.arange(k * k)
     p, q = pq // k, pq % k
     delta = np.stack([(p + q + d) % k * k + p for d in (0, 1)], axis=1)
+    # state 0 loops on digit 0, so the DFAO is padding-stable
     cand = au.minimize(Automaton(1, delta, (p + q) % k, 0))
-    # one automata.RUN_BLOCK block of n at a time; state 0 loops on digit 0,
-    # so a block's own padding width gives the outputs a full-width run would
-    for lo in range(0, verify_bound, au.RUN_BLOCK):
-        ns = np.arange(lo, min(lo + au.RUN_BLOCK, verify_bound), dtype=np.int64)
-        wrong = dfao_values(cand, ns) != ns % k
-        if wrong.any():
-            raise CatalogError(f"mod-{k} DFAO wrong at n={lo + int(np.flatnonzero(wrong)[0])}")
-    return cand
+    return admit(f"mod-{k} DFAO", cand, [], {}, lambda ns: ns % k, verify_bound)
 
 
 # -- the certified catalog ----------------------------------------------------
@@ -281,14 +271,17 @@ _PHIN_CERT = [
 _PHIN_SHIFT = 'reg shift msd_fib msd_fib "([0,0]|[0,1][1,0])*":'
 _PHIN_DEF = 'def phin "(n=0 & z=0) | Ex,y $shift(x,y) & n=x+1 & z=y+1":'
 
+# name, definition and seqs._beatty_batch kind of its oracle; a035487 is a
+# set, checked against the mask _certify_beatty builds
 _BEATTY_DEFS = [
-    ("a007067", 'Ex $phin(2*n,x) & z=(x+1)/2'),
-    ("a007064", 'Ex $phin(2*n+1,x) & z=n+1+x/2'),
-    ("a004937", 'Ex $phi2n(2*n,x) & z=(x+1)/2'),
-    ("a003623", 'Ex $phi2n(n,x) & $phin(x,z)'),
+    ("phi2n", 'Ex $phin(n,x) & z=x+n', "phi2"),
+    ("a007067", 'Ex $phin(2*n,x) & z=(x+1)/2', "a007067"),
+    ("a007064", 'Ex $phin(2*n+1,x) & z=n+1+x/2', "a007064"),
+    ("a004937", 'Ex $phi2n(2*n,x) & z=(x+1)/2', "a004937"),
+    ("a003623", 'Ex $phi2n(n,x) & $phin(x,z)', "a003623"),
     # The source listing applies a007064 with one argument here; the
     # intended reading is range membership, written out explicitly.
-    ("a035487", 'Ex (Em $a007064(m,x)) & $a007067(x,n)'),
+    ("a035487", 'Ex (Em $a007064(m,x)) & $a007067(x,n)', None),
 ]
 
 
@@ -312,20 +305,12 @@ def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> dict:
     note("building phin")
     session = logic.Session(cat)
     session.run_script(f"{_PHIN_SHIFT}\n{_PHIN_DEF}")
-    phin = session.automaton("phin")
-    for cert in (synth.function_certificate("phin"), synth.query_certificate("phin", _PHIN_CERT)):
-        failed = cert(phin, cat).failures
-        if failed:
-            raise CatalogError(f"phin certificate fails {failed[0]}")
-    bad = _first_miss(phin, phin_verify, seqs._vec_floor_phi)
-    if bad is not None:
-        raise CatalogError(f"phin disagrees with floor(phi n) at n={bad}")
-    cat["phin"] = phin
+    certs = [synth.function_certificate("phin"), synth.query_certificate("phin", _PHIN_CERT)]
+    cat["phin"] = admit("phin", session.automaton("phin"), certs, cat,
+                        seqs._vec_floor_phi, phin_verify)
 
     note("phi2n and Beatty relations")
-    session.define("phi2n", "Ex $phin(n,x) & z=x+n")
-    cat["phi2n"] = session.automaton("phi2n")
-    for name, body in _BEATTY_DEFS:
+    for name, body, _ in _BEATTY_DEFS:
         session.define(name, body)
         cat[name] = session.automaton(name)
     _certify_beatty(cat, 100_000)
@@ -337,29 +322,46 @@ def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> dict:
     return cat
 
 
-def _first_miss(rel: Automaton, n: int, f) -> int | None:
-    """Least m < n at which rel does not accept (m, f(m)), or None.
+def admit(name: str, aut: Automaton, certificates, catalog: dict, oracle,
+          bound: int) -> Automaton:
+    """Return aut once every certificate holds over catalog and aut agrees
+    with oracle below bound (:func:`_first_miss`); else raise CatalogError."""
+    for cert in certificates:
+        failed = cert(aut, catalog).failures
+        if failed:
+            raise CatalogError(f"{name} certificate fails {failed[0]}")
+    bad = _first_miss(aut, bound, oracle)
+    if bad is not None:
+        raise CatalogError(f"{name} disagrees with its oracle at n={bad}")
+    return aut
 
-    Compares one automata.RUN_BLOCK block of m at a time with f over that
-    block, so neither a table nor an arange of n is built.  The relation
-    is zero-normalized, so each block's own padding width gives the answer
-    a single run over all of 0..n-1 would give.
+
+def _first_miss(aut: Automaton, n: int, f) -> int | None:
+    """Least m < n at which aut disagrees with f, or None.
+
+    A relation misses where it does not accept (m, f(m)), an arity-1
+    automaton where its value at m is not f(m).  Compares one
+    automata.RUN_BLOCK block of m at a time with f over that block, so
+    neither a table nor an arange of n is built.  Each block runs at its
+    own padding width, so a relation must be zero-normalized and a DFAO
+    padding-stable (same value under leading zeros); then the answer is
+    the one a single run over all of 0..n-1 would give.
     """
     for lo in range(0, n, au.RUN_BLOCK):
         ms = np.arange(lo, min(lo + au.RUN_BLOCK, n), dtype=np.int64)
-        got = accepts_number_pairs(rel, ms, f(ms))
-        if not bool(got.all()):
-            return lo + int(np.flatnonzero(~got)[0])
+        if aut.arity == 1:
+            wrong = dfao_values(aut, ms) != f(ms)
+        else:
+            wrong = ~accepts_number_pairs(aut, ms, f(ms))
+        if wrong.any():
+            return lo + int(np.flatnonzero(wrong)[0])
     return None
 
 
 def _certify_beatty(cat: dict, n: int) -> None:
+    """Admit the _BEATTY_DEFS relations of cat against their oracles below n."""
     from . import seqs
 
-    for name in ("a007067", "a007064", "a004937", "a003623"):
-        bad = _first_miss(cat[name], n, partial(seqs._beatty_batch, name))
-        if bad is not None:
-            raise CatalogError(f"{name} disagrees with its oracle at n={bad}")
     # a035487 is a007067(a007064(m)) >= m, rising with m: mark its values
     # below n one block of m at a time, up to the first value past n
     member = np.zeros(n, dtype=bool)
@@ -369,9 +371,6 @@ def _certify_beatty(cat: dict, n: int) -> None:
         member[vals[vals < n]] = True
         if vals[-1] >= n:
             break
-    for lo in range(0, n, au.RUN_BLOCK):
-        ns = np.arange(lo, min(lo + au.RUN_BLOCK, n), dtype=np.int64)
-        wrong = accepts_number_pairs(cat["a035487"], ns) != member[lo : lo + ns.size]
-        if wrong.any():
-            bad = lo + int(np.flatnonzero(wrong)[0])
-            raise CatalogError(f"a035487 membership wrong at n={bad}")
+    for name, _, kind in _BEATTY_DEFS:
+        oracle = member.__getitem__ if kind is None else partial(seqs._beatty_batch, kind)
+        admit(name, cat[name], [], cat, oracle, n)

@@ -214,29 +214,23 @@ def check_permutation(rel_a: Automaton, rel_b: Automaton, catalog) -> bool:
     return is_zero(diff)
 
 
-_DISTINCT_SCRIPT = """
-def first_occ_s "?msd_fib $srel(y,n) & Ax (x<y) => ~$srel(x,n)":
-eval distinct_range "?msd_fib Ax (Em $srel(m,x)) <=> (En $sprime(n,x))":
-eval distinct_injective "?msd_fib ~En1,n2,x n1!=n2 & $sprime(n1,x) & $sprime(n2,x)":
-eval distinct_order "?msd_fib Ax,y,i,j ($first_occ_s(x,i) & $first_occ_s(y,j)
-   & i<j) => Em,n $sprime(m,x) & $sprime(n,y) & m<n":
-"""
-
-
 def check_distinct_transform(rel_s: Automaton, rel_sp: Automaton, catalog):
     """Decide whether rel_sp computes the distinctness transform of rel_s.
 
     Three first-order conditions: same range, injectivity of the
-    transform, and preservation of first-occurrence order.  Returns
-    (ok, failed_condition_names).
+    transform, and preservation of first-occurrence order.  They run as
+    one certificate over $cand = rel_sp with srel = rel_s in the catalog,
+    so the first FALSE one ends it.  Returns (ok, failed_condition_names).
     """
-    from . import logic
+    from . import synth
 
-    session = logic.Session(catalog)
-    session.define_automaton("srel", rel_s)
-    session.define_automaton("sprime", rel_sp)
-    report = session.run_script(_DISTINCT_SCRIPT)
-    failed = [name for name, good in report.evals if not good]
+    certificate = synth.query_certificate("distinct", [
+        ("range", "Ax (Em $srel(m,x)) <=> (En $cand(n,x))"),
+        ("injective", "~En1,n2,x n1!=n2 & $cand(n1,x) & $cand(n2,x)"),
+        ("order", "Ax,y,i,j ($first_occ_s(x,i) & $first_occ_s(y,j) & i<j)"
+                  " => Em,n $cand(m,x) & $cand(n,y) & m<n"),
+    ], 'def first_occ_s "$srel(y,n) & Ax (x<y) => ~$srel(x,n)":')
+    failed = certificate(rel_sp, dict(catalog, srel=rel_s)).failures
     return (not failed, failed)
 
 

@@ -299,15 +299,8 @@ class Reproduction:
             self.certificates[name] = certs
             self.progress(f"building {name}")
             def build(name=name, body=body, certs=certs):
-                rel = session.compile(body).aut
-                for cert in certs:
-                    failed = cert(rel, with_a105774).failures
-                    if failed:
-                        raise arith.CatalogError(f"{name} certificate fails {failed[0]}")
-                bad = arith._first_miss(rel, _VERIFY_BOUND, seqs.oracle(name).batch)
-                if bad is not None:
-                    raise arith.CatalogError(f"{name} disagrees with its oracle at n={bad}")
-                return rel
+                return arith.admit(name, session.compile(body).aut, certs, with_a105774,
+                                   seqs.oracle(name).batch, _VERIFY_BOUND)
             self.relations[name] = self._cached(name, build)
 
         for name in ("a105774", "p0", "p1", "p2", "a368200", "aprime"):
@@ -393,10 +386,8 @@ class Reproduction:
         if got != C_TABLE:
             return False, f"table mismatch: {got}"
         n = 10_000
-        vals = arith.dfao_values(cdfao, np.arange(n))
-        want = seqs.count_c_table(n)
-        if not np.array_equal(vals, want):
-            bad = int(np.flatnonzero(vals != want)[0])
+        bad = arith._first_miss(cdfao, n, seqs.count_c_table(n).__getitem__)
+        if bad is not None:
             return False, f"oracle mismatch at n={bad}"
         return True, f"table 0..20 and oracle to {n}"
 

@@ -423,7 +423,12 @@ def _a035487_members(limit):
     return np.unique(vals[vals < limit])
 
 
-@pytest.mark.parametrize("name", ["a007067", "a007064", "a004937", "a003623", "a035487"])
+# catalog name -> seqs._beatty_batch kind of its oracle
+BEATTY_KINDS = {"phi2n": "phi2", "a007067": "a007067", "a007064": "a007064",
+                "a004937": "a004937", "a003623": "a003623"}
+
+
+@pytest.mark.parametrize("name", [*BEATTY_KINDS, "a035487"])
 def test_beatty_check_names_the_first_wrong_n(catalog, monkeypatch, name):
     # as for phin: each mutant redirects one transition to the next state,
     # and the block-wise check must name the first miss of a full-range run;
@@ -436,9 +441,9 @@ def test_beatty_check_names_the_first_wrong_n(catalog, monkeypatch, name):
     if name == "a035487":
         member = np.isin(ns, _a035487_members(n))
         wrong = lambda aut: arith.accepts_number_pairs(aut, ns) != member
-        message = "a035487 membership wrong at n={}"
+        message = "a035487 disagrees with its oracle at n={}"
     else:
-        want_vals = seqs._beatty_batch(name, ns)
+        want_vals = seqs._beatty_batch(BEATTY_KINDS[name], ns)
         wrong = lambda aut: ~arith.accepts_number_pairs(aut, ns, want_vals)
         message = name + " disagrees with its oracle at n={}"
     misses = set()
@@ -452,7 +457,51 @@ def test_beatty_check_names_the_first_wrong_n(catalog, monkeypatch, name):
             want = None if bad is None else message.format(bad)
             assert _first_beatty_miss({**catalog, name: mutant}, n) == want
             misses.add(bad)
+    # phi2n's mutants miss first at 7 at the latest, past the first block
+    assert max(m for m in misses if m is not None) >= (4 if name == "phi2n" else 8)
+
+
+def test_first_miss_on_dfaos_names_the_first_wrong_n(catalog, monkeypatch):
+    """On arity-1 automata a miss is a value that differs from the oracle:
+    each mutant of fibword, mod_dfao(3) and a035487 (one transition
+    redirected to the next state) gets the first miss of one full-range
+    dfao_values run, in blocks of 4."""
+    monkeypatch.setattr(au, "RUN_BLOCK", 4)
+    n = 64
+    ns = np.arange(n)
+    oracles = [
+        (catalog["fibword"], arith.fibword_prefix(n)),
+        (arith.mod_dfao(3, verify_bound=n), ns % 3),
+        (catalog["a035487"], np.isin(ns, _a035487_members(n))),
+    ]
+    misses = set()
+    for aut, want_vals in oracles:
+        assert arith._first_miss(aut, n, want_vals.__getitem__) is None
+        for q in range(aut.n_states):
+            for sym in range(aut.n_symbols):
+                delta = aut.delta.copy()
+                delta[q, sym] = (delta[q, sym] + 1) % aut.n_states
+                mutant = au.Automaton(1, delta, aut.outputs, aut.initial)
+                if mutant.delta[mutant.initial, 0] != mutant.initial:
+                    continue  # no longer padding-stable
+                bad = arith.dfao_values(mutant, ns) != want_vals
+                want = int(np.flatnonzero(bad)[0]) if bad.any() else None
+                assert arith._first_miss(mutant, n, want_vals.__getitem__) == want
+                misses.add(want)
     assert max(m for m in misses if m is not None) >= 8
+
+
+def test_fibword_disagreeing_with_the_morphism_is_refused(monkeypatch):
+    real = arith.fibword_prefix
+
+    def flipped(n):
+        word = real(n)
+        word[70_000] ^= 1
+        return word
+
+    monkeypatch.setattr(arith, "fibword_prefix", flipped)
+    with pytest.raises(arith.CatalogError, match=r"^fibword disagrees with its oracle at n=70000$"):
+        arith.fibword()
 
 
 def test_beatty_checks_run_in_bounded_memory(catalog):
@@ -488,7 +537,7 @@ def test_mod_dfao_check_names_the_first_wrong_n(monkeypatch):
         return real(aut, ns) + (ns == 70_000)
 
     monkeypatch.setattr(arith, "dfao_values", corrupted)
-    with pytest.raises(arith.CatalogError, match=r"^mod-3 DFAO wrong at n=70000$"):
+    with pytest.raises(arith.CatalogError, match=r"^mod-3 DFAO disagrees with its oracle at n=70000$"):
         arith.mod_dfao(3)
     arith.mod_dfao(3, verify_bound=70_000)  # every n below it still checks
 
