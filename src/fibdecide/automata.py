@@ -84,7 +84,7 @@ class ArityError(AutomatonError):
 class Automaton:
     """Complete deterministic automaton with per-state outputs."""
 
-    __slots__ = ("arity", "delta", "outputs", "initial", "zero_normalized")
+    __slots__ = ("arity", "delta", "outputs", "initial", "zero_normalized", "is_boolean")
 
     def __init__(self, arity, delta, outputs, initial=0, zero_normalized=False):
         if arity < 0 or arity > MAX_ARITY:
@@ -111,6 +111,9 @@ class Automaton:
         self.outputs = outputs
         self.initial = int(initial)
         self.zero_normalized = bool(zero_normalized)
+        # every output is 0 or 1 (no bit but the lowest); the outputs are
+        # frozen above, so this is computed once
+        self.is_boolean = not (outputs & -2).any()
 
     # -- basic queries -------------------------------------------------
 
@@ -121,10 +124,6 @@ class Automaton:
     @property
     def n_symbols(self) -> int:
         return self.delta.shape[1]
-
-    @property
-    def is_boolean(self) -> bool:
-        return bool(np.all((self.outputs == 0) | (self.outputs == 1)))
 
     @property
     def accepting(self) -> frozenset:

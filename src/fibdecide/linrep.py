@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import automata as au
 from . import numeration as nu
@@ -35,6 +36,10 @@ __all__ = [
     "check_distinct_transform",
 ]
 
+# a representation keeps at most this many prefix rows for evaluate, and
+# empties its memo when it is full
+PREFIX_NODES = 4096
+
 
 @dataclass(frozen=True)
 class LinRep:
@@ -43,6 +48,10 @@ class LinRep:
     right: tuple
     # letter -> per row i, the nonzero entries (j, M[i][j]); set at construction
     _sparse: dict = field(init=False, repr=False, compare=False)
+    # evaluate's trie of prefixes read so far: letter -> (the row
+    # L * M(prefix + letter) as a tuple, that node's children), under the
+    # root key "trie", with its node count under "nodes"
+    _prefixes: dict = field(init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -64,6 +73,7 @@ class LinRep:
             for letter, m in self.mats.items()
         }
         object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_prefixes", {"trie": {}, "nodes": 0})
 
     def step(self, vec, letter) -> list:
         """The row vector vec * M(letter), exact for ints and Fractions alike."""
@@ -76,11 +86,25 @@ class LinRep:
 
 
 def evaluate(lr: LinRep, word) -> int:
-    """Fold the matrix product along the word (letters index lr.mats)."""
-    vec = lr.left
+    """Fold the matrix product along the word (letters index lr.mats).
+
+    The rows of prefixes already read are kept in lr's trie, so a word
+    costs one lookup per letter of a known prefix and one step per new
+    letter.  A full trie (PREFIX_NODES rows) is emptied and grown again.
+    """
+    memo = lr._prefixes
+    vec, children = lr.left, memo["trie"]
     for letter in word:
-        vec = lr.step(vec, letter)
-    return sum(v * rv for v, rv in zip(vec, lr.right))
+        node = children.get(letter)
+        if node is None:
+            row = tuple(lr.step(vec, letter))
+            if memo["nodes"] >= PREFIX_NODES:
+                # the rest of this word grows a detached branch, freed on return
+                memo["trie"], memo["nodes"] = {}, 0
+            node = children[letter] = (row, {})
+            memo["nodes"] += 1
+        vec, children = node
+    return sum(map(mul, vec, lr.right))
 
 
 def subtract(a: LinRep, b: LinRep) -> LinRep:

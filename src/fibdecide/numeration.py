@@ -34,11 +34,15 @@ _LUCAS = [2, 1]
 
 def fib(k: int) -> int:
     """F(k), with F(0) = 0, F(1) = 1."""
+    # the sign check comes first: the list would wrap a negative index
     if k < 0:
         raise ValueError("Fibonacci index must be >= 0")
-    while len(_FIB) <= k:
-        _FIB.append(_FIB[-1] + _FIB[-2])
-    return _FIB[k]
+    try:
+        return _FIB[k]
+    except IndexError:
+        while len(_FIB) <= k:
+            _FIB.append(_FIB[-1] + _FIB[-2])
+        return _FIB[k]
 
 
 def fib_bracket(m: int) -> int:

@@ -366,12 +366,31 @@ def t_closed(n: int) -> Fraction:
 
 def x_comp(n: int) -> int:
     """a(floor(phi n)) - floor(phi a(n)); defined for n >= 1."""
-    a = oracle("a105774").value
-    return a(nu.floor_phi(_natural("x_comp", n))) - nu.floor_phi(a(n))
+    return _table_first("x_comp", n)
 
 
 def d_comp(n: int) -> int:
     """floor(phi^2 a(n) + 1/2) - a(floor(phi n)) - a(n)."""
+    return _table_first("d_comp", n)
+
+
+def _table_first(name: str, n: int) -> int:
+    """oracle(name).value(n); below _BATCH_TABLE the oracle's table is
+    first grown, by its batch form, to the power of two above n."""
+    found = oracle(name)
+    if len(found._view) <= n < _BATCH_TABLE:
+        found.table(1 << int(n).bit_length())
+    return found.value(n)
+
+
+def _x_comp_scalar(n: int) -> int:
+    """x_comp(n) composed from a105774's oracle and floor(phi m)."""
+    a = oracle("a105774").value
+    return a(nu.floor_phi(_natural("x_comp", n))) - nu.floor_phi(a(n))
+
+
+def _d_comp_scalar(n: int) -> int:
+    """d_comp(n) composed from a105774's oracle and floor(phi^2 m + 1/2)."""
     a = oracle("a105774").value
     an = a(_natural("d_comp", n))
     return nu.floor_phi2_half(an) - a(nu.floor_phi(n)) - an
@@ -458,11 +477,13 @@ class SequenceOracle:
         self._view = memoryview(b"")  # the table, read as Python ints
 
     def value(self, n: int) -> int:
+        # the sign check comes first: the view would wrap a negative index
         if n < 0:
             raise ValueError(f"{self.name} is defined for n >= 0, got {n}")
-        if n < len(self._view):
+        try:
             return self._view[n]
-        return int(self._scalar(n))
+        except IndexError:
+            return int(self._scalar(n))
 
     def table(self, n: int) -> np.ndarray:
         _natural(self.name, n)
@@ -561,8 +582,8 @@ _REGISTRY = {
     "a003623": lambda: _pointwise(
         "a003623", lambda m: nu.floor_phi(nu.floor_phi2(m)), partial(_beatty_batch, "a003623")
     ),
-    "x_comp": lambda: _pointwise("x_comp", x_comp, _x_comp_batch),
-    "d_comp": lambda: _pointwise("d_comp", d_comp, _d_comp_batch),
+    "x_comp": lambda: _pointwise("x_comp", _x_comp_scalar, _x_comp_batch),
+    "d_comp": lambda: _pointwise("d_comp", _d_comp_scalar, _d_comp_batch),
     "s": lambda: _pointwise("s", s_value, _python_ints(s_value)),
     "t": lambda: _pointwise("t", t_value, _python_ints(t_value)),
 }

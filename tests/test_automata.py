@@ -27,6 +27,17 @@ def test_boolean_algebra_examples():
     assert au.equivalent(au.minimize(au.intersect(a, a)), au.minimize(a))
 
 
+@pytest.mark.parametrize("outputs, boolean", [
+    ([0, 1, 1], True), ([0, 0, 0], True), ([1, 1, 1], True),
+    ([0, 2, 1], False), ([3, 1, 0], False), ([0, -1, 1], False), ([-2, 0, 0], False),
+    ([0, 1, 1 << 30], False), ([0, 1, -(1 << 31)], False),
+])
+def test_is_boolean_means_every_output_is_0_or_1(outputs, boolean):
+    aut = au.Automaton(1, np.zeros((3, 2), dtype=np.int32), outputs)
+    assert aut.is_boolean is boolean
+    assert ("dfa " if boolean else "dfao ") in repr(aut)
+
+
 def test_union_even_odd_covers_valid(catalog):
     from fibdecide import logic
 

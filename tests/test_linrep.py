@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +161,95 @@ def test_evaluate_matches_dense_fold(a_rel):
         for w in range(1 << length):
             word = [(w >> i) & 1 for i in range(length)]
             assert linrep.evaluate(diff, word) == _dense_evaluate(diff, word)
+
+
+def _random_linrep(rng, dim):
+    """A LinRep over {0, 1} with small entries, most of them zero."""
+
+    def vector():
+        return tuple(rng.choice((0, 0, 0, 1, 1, 2, -1, 3)) for _ in range(dim))
+
+    mats = {letter: tuple(vector() for _ in range(dim)) for letter in (0, 1)}
+    return linrep.LinRep(vector(), mats, vector())
+
+
+def _random_linreps():
+    """Seeded representations of dimension 1-20, two differences with
+    negative entries and one with a Fraction left vector."""
+    rng = random.Random(37)
+    reps = [_random_linrep(rng, dim) for dim in (1, 2, 3, 5, 8, 13, 20)]
+    reps.append(linrep.subtract(reps[2], reps[3]))
+    reps.append(linrep.subtract(reps[6], _random_linrep(rng, 4)))
+    base = reps[4]
+    reps.append(linrep.LinRep(
+        tuple(Fraction(x, 3) for x in base.left), base.mats, base.right))
+    return reps
+
+
+def _words_up_to(length):
+    return [list(w) for n in range(length + 1) for w in itertools.product((0, 1), repeat=n)]
+
+
+def _trie_nodes(lr):
+    """The nodes reachable from lr's prefix memo, counted by a walk."""
+    count, stack = 0, [lr._prefixes["trie"]]
+    while stack:
+        children = stack.pop()
+        count += len(children)
+        stack.extend(grand for _, grand in children.values())
+    return count
+
+
+def test_memoized_evaluate_equals_the_plain_fold():
+    reps = _random_linreps()
+    assert any(c < 0 for lr in reps[7:9] for c in lr.left)
+    assert isinstance(reps[9].left[0], Fraction)
+    rng = random.Random(5)
+    words = _words_up_to(8)
+    words += rng.choices(words, k=200)  # repeats, read again from the memo
+    for lr in reps:
+        rng.shuffle(words)
+        for word in words:
+            assert linrep.evaluate(lr, word) == _dense_evaluate(lr, word), (lr.dim, word)
+        assert 0 < _trie_nodes(lr) == lr._prefixes["nodes"] <= linrep.PREFIX_NODES
+
+
+def test_evaluate_memo_stays_under_its_cap(monkeypatch):
+    monkeypatch.setattr(linrep, "PREFIX_NODES", 8)
+    lr = _random_linreps()[5]
+    rng = random.Random(8)
+    words = _words_up_to(6) * 2
+    rng.shuffle(words)
+    cleared = 0
+    for word in words:
+        before = lr._prefixes["trie"]
+        assert linrep.evaluate(lr, word) == _dense_evaluate(lr, word), word
+        cleared += lr._prefixes["trie"] is not before
+        assert _trie_nodes(lr) <= lr._prefixes["nodes"] <= 8
+    assert cleared > 10
+
+
+def test_evaluate_unknown_letter_adds_no_node():
+    lr = _random_linreps()[3]
+    assert linrep.evaluate(lr, [0, 1]) == _dense_evaluate(lr, [0, 1])
+    nodes = _trie_nodes(lr)
+    for word in ([0, 1, 7], ["x"], [2]):
+        with pytest.raises(KeyError):
+            linrep.evaluate(lr, word)
+        assert _trie_nodes(lr) == lr._prefixes["nodes"] == nodes
+
+
+def test_representations_never_share_a_memo():
+    a = _random_linreps()[4]
+    twin = linrep.LinRep(a.left, a.mats, a.right)
+    diff = linrep.subtract(a, twin)
+    assert twin == a
+    assert len({id(lr._prefixes) for lr in (a, twin, diff)}) == 3
+    linrep.evaluate(a, [1, 0, 1])
+    assert _trie_nodes(a) == 3
+    assert _trie_nodes(twin) == _trie_nodes(diff) == 0
+    assert linrep.evaluate(diff, [1, 0, 1]) == 0
+    assert _trie_nodes(a) == 3 and _trie_nodes(twin) == 0
 
 
 def test_padding_stability(a_rel):

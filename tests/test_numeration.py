@@ -14,6 +14,13 @@ def test_fibonacci_values():
     assert nu.fib(20) == 6765
 
 
+def test_fib_checks_the_sign_before_reading_its_list():
+    nu.fib(30)  # the cached list, which would wrap a negative index
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="^Fibonacci index must be >= 0$"):
+            nu.fib(k)
+
+
 def test_lucas_values():
     assert nu.lucas(0) == 2
     assert nu.lucas(1) == 1

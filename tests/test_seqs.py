@@ -449,3 +449,70 @@ def test_batch_past_the_bound_keeps_a_bounded_table(monkeypatch):
     assert peak < 4 * 2**20
     for i in range(0, ns.size, 997):
         assert got[i] == seqs.lucas_variant(int(ns[i]))
+
+
+def test_compositions_read_their_tables_and_compose_past_them(monkeypatch):
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    n = 5001
+    assert [seqs.x_comp(m) for m in range(n)] == seqs._x_comp_batch(np.arange(n)).tolist()
+    assert [seqs.d_comp(m) for m in range(n)] == seqs._d_comp_batch(np.arange(n)).tolist()
+    a, floor_phi = seqs.a105774, nu.floor_phi
+    rng = np.random.default_rng(40)
+    for m in rng.integers(1 << 15, 1 << 40, 40).tolist():
+        am = a(m)
+        assert seqs.x_comp(m) == a(floor_phi(m)) - floor_phi(am), m
+        assert seqs.d_comp(m) == nu.floor_phi2_half(am) - a(floor_phi(m)) - am, m
+    for name in ("x_comp", "d_comp"):
+        assert len(seqs.oracle(name)._table) <= seqs._BATCH_TABLE
+
+
+@pytest.mark.parametrize("name", ["x_comp", "d_comp"])
+def test_first_composition_call_grows_its_table_by_powers_of_two(monkeypatch, name):
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    value = getattr(seqs, name)
+    bound = seqs._BATCH_TABLE
+    for m, size in [(0, 1), (5, 8), (8, 16), (3, 16), (1000, 1024), (bound - 1, bound),
+                    (bound, bound), (bound + 7, bound), (10**9, bound)]:
+        value(m)
+        assert len(seqs.oracle(name)._table) == size, m
+
+
+def test_negative_arguments_raise_on_warm_tables(monkeypatch):
+    """A memoryview or list wraps a negative index, so each warm read
+    checks the sign first."""
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    for name, fn in (("x_comp", seqs.x_comp), ("d_comp", seqs.d_comp)):
+        fn(100)
+        assert len(seqs.oracle(name)._view) > 0
+        with pytest.raises(ValueError, match=rf"^{name} is defined for n >= 0, got -1$"):
+            fn(-1)
+    for name in ("a105774", "phi", "x_comp", "s", "t"):
+        orc = seqs.oracle(name)
+        orc.table(100)
+        with pytest.raises(ValueError, match=rf"^{name} is defined for n >= 0, got -1$"):
+            orc.value(-1)
+
+
+@pytest.mark.parametrize("name", ["s", "t"])
+def test_value_reads_the_object_tables_of_s_and_t(monkeypatch, name):
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    orc = seqs.oracle(name)
+    want = orc.table(110).tolist()
+    assert want[-1] > 2**63
+
+    def no_scalar(n):
+        raise AssertionError(f"{name}({n}) left the table")
+
+    monkeypatch.setattr(orc, "_scalar", no_scalar)
+    got = [orc.value(n) for n in range(110)]
+    assert got == want
+    assert {type(v) for v in got} == {int}
+    with pytest.raises(AssertionError, match="left the table"):
+        orc.value(110)
+
+
+def test_value_past_the_index_range_takes_the_scalar():
+    orc = seqs.oracle("phi")
+    orc.table(100)
+    assert orc.value(10**30) == nu.floor_phi(10**30)
+    assert seqs.oracle("x_comp").value(2**70) == seqs._x_comp_scalar(2**70)
