@@ -84,7 +84,7 @@ class ArityError(AutomatonError):
 class Automaton:
     """Complete deterministic automaton with per-state outputs."""
 
-    __slots__ = ("arity", "delta", "outputs", "initial", "zero_normalized", "is_boolean")
+    __slots__ = ("arity", "delta", "outputs", "initial", "zero_normalized", "_boolean")
 
     def __init__(self, arity, delta, outputs, initial=0, zero_normalized=False):
         if arity < 0 or arity > MAX_ARITY:
@@ -113,7 +113,7 @@ class Automaton:
         self.zero_normalized = bool(zero_normalized)
         # every output is 0 or 1 (no bit but the lowest); the outputs are
         # frozen above, so this is computed once
-        self.is_boolean = not (outputs & -2).any()
+        self._boolean = not (outputs & -2).any()
 
     # -- basic queries -------------------------------------------------
 
@@ -124,6 +124,10 @@ class Automaton:
     @property
     def n_symbols(self) -> int:
         return self.delta.shape[1]
+
+    @property
+    def is_boolean(self) -> bool:
+        return self._boolean
 
     @property
     def accepting(self) -> frozenset:

@@ -37,12 +37,9 @@ def fib(k: int) -> int:
     # the sign check comes first: the list would wrap a negative index
     if k < 0:
         raise ValueError("Fibonacci index must be >= 0")
-    try:
-        return _FIB[k]
-    except IndexError:
-        while len(_FIB) <= k:
-            _FIB.append(_FIB[-1] + _FIB[-2])
-        return _FIB[k]
+    while len(_FIB) <= k:
+        _FIB.append(_FIB[-1] + _FIB[-2])
+    return _FIB[k]
 
 
 def fib_bracket(m: int) -> int:

@@ -36,6 +36,9 @@ def test_is_boolean_means_every_output_is_0_or_1(outputs, boolean):
     aut = au.Automaton(1, np.zeros((3, 2), dtype=np.int32), outputs)
     assert aut.is_boolean is boolean
     assert ("dfa " if boolean else "dfao ") in repr(aut)
+    with pytest.raises(AttributeError):
+        aut.is_boolean = not boolean
+    assert aut.is_boolean is boolean
 
 
 def test_union_even_odd_covers_valid(catalog):

@@ -452,10 +452,20 @@ def test_batch_past_the_bound_keeps_a_bounded_table(monkeypatch):
 
 
 def test_compositions_read_their_tables_and_compose_past_them(monkeypatch):
-    monkeypatch.setattr(seqs, "_CACHE", {})
     n = 5001
-    assert [seqs.x_comp(m) for m in range(n)] == seqs._x_comp_batch(np.arange(n)).tolist()
-    assert [seqs.d_comp(m) for m in range(n)] == seqs._d_comp_batch(np.arange(n)).tolist()
+    want_x = seqs._x_comp_batch(np.arange(n)).tolist()
+    want_d = seqs._d_comp_batch(np.arange(n)).tolist()
+    # the scalar compositions, independent of the tables x_comp and d_comp
+    # read, against the batch forms: a105774 cold, then warm
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    assert [seqs._x_comp_scalar(m) for m in range(n)] == want_x
+    assert [seqs._d_comp_scalar(m) for m in range(n)] == want_d
+    seqs.oracle("a105774").table(10**5)
+    assert [seqs._x_comp_scalar(m) for m in range(n)] == want_x
+    assert [seqs._d_comp_scalar(m) for m in range(n)] == want_d
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    assert [seqs.x_comp(m) for m in range(n)] == want_x
+    assert [seqs.d_comp(m) for m in range(n)] == want_d
     a, floor_phi = seqs.a105774, nu.floor_phi
     rng = np.random.default_rng(40)
     for m in rng.integers(1 << 15, 1 << 40, 40).tolist():
