@@ -307,7 +307,7 @@ def build_catalog(*, phin_verify: int = 1 << 20, progress=None) -> dict:
     session.run_script(f"{_PHIN_SHIFT}\n{_PHIN_DEF}")
     certs = [synth.function_certificate("phin"), synth.query_certificate("phin", _PHIN_CERT)]
     cat["phin"] = admit("phin", session.automaton("phin"), certs, cat,
-                        seqs._vec_floor_phi, phin_verify)
+                        nu.vec_floor_phi, phin_verify)
 
     note("phi2n and Beatty relations")
     for name, body, _ in _BEATTY_DEFS:

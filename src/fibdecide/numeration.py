@@ -6,15 +6,21 @@ the one before it F(3) = 2, and so on.  The canonical form produced by
 :func:`encode` has no two adjacent 1s and no leading zeros; :func:`decode`
 accepts arbitrary bit strings, leading zeros and adjacent 1s included.
 
-Everything here is exact big-integer arithmetic.  The Beatty values
-``floor(phi * n)`` etc. are computed through integer square roots, never
-through floats: float rounding is wrong for n near Fibonacci numbers.
+Everything here is exact integer arithmetic.  The Beatty values
+``floor(phi * n)`` etc. come from integer square roots: for n below
+``TABLE_BOUND`` they are read from one table, filled on first use by the
+kernel of :func:`vec_floor_phi` (a float square root as the estimate,
+then repaired in integers until r * r <= 5 n^2 < (r + 1)^2), and past it
+come from :func:`math.isqrt`.  A float alone is wrong for n near
+Fibonacci numbers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import isqrt
+
+import numpy as np
 
 __all__ = [
     "fib",
@@ -30,6 +36,11 @@ __all__ = [
 
 _FIB = [0, 1]
 _LUCAS = [2, 1]
+
+# floor(phi m) is read from a table for m below this, and seqs' oracle
+# batches fill their tables to it
+TABLE_BOUND = 1 << 15
+_PHI = memoryview(b"")  # floor(phi m) for m < TABLE_BOUND once filled
 
 
 def fib(k: int) -> int:
@@ -70,13 +81,13 @@ def encode(n: int) -> str:
         raise ValueError("cannot encode a negative number")
     if n == 0:
         return ""
-    k = fib_bracket(n + 1)  # F(k) <= n < F(k+1)
+    k = fib_bracket(n + 1)  # F(k) <= n < F(k+1), and the list holds F(k)
     digits = []
     rem = n
-    for i in range(k, 1, -1):
-        if fib(i) <= rem:
+    for f in _FIB[k:1:-1]:
+        if f <= rem:
             digits.append("1")
-            rem -= fib(i)
+            rem -= f
         else:
             digits.append("0")
     return "".join(digits)
@@ -85,10 +96,11 @@ def encode(n: int) -> str:
 def decode(s: str) -> int:
     """Value of an arbitrary bit string (validity not required)."""
     t = len(s)
+    fib(t + 1)  # grows the list to the weight of the first digit
     total = 0
-    for i, ch in enumerate(s):
+    for ch, f in zip(s, _FIB[t + 1 : 1 : -1]):
         if ch == "1":
-            total += fib(t - i + 1)
+            total += f
         elif ch != "0":
             raise ValueError(f"not a bit string: {s!r}")
     return total
@@ -100,17 +112,34 @@ def floor_phi(n: int) -> int:
     phi*n = (n + sqrt(5 n^2))/2 and sqrt(5 n^2) is irrational for n > 0,
     so flooring the inner square root first is safe.
     """
+    # the sign check comes first: the view would wrap a negative index
     if n < 0:
         raise ValueError("n must be >= 0")
-    return (n + isqrt(5 * n * n)) // 2
+    try:
+        return _PHI[n]
+    except IndexError:
+        return _floor_phi_past(n)
 
 
 def floor_phi2(n: int) -> int:
-    """Exact floor(phi^2 * n); phi^2 = phi + 1 forces this to be floor_phi(n) + n,
-    which is (3n + isqrt(5 n^2)) // 2."""
+    """Exact floor(phi^2 * n); phi^2 = phi + 1 forces this to be floor_phi(n) + n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return (3 * n + isqrt(5 * n * n)) // 2
+    try:
+        return _PHI[n] + n
+    except IndexError:
+        return _floor_phi_past(n) + n
+
+
+def _floor_phi_past(n: int) -> int:
+    """floor(phi n) for an n >= 0 the table does not hold: below TABLE_BOUND
+    the table is filled first (it is still empty), past it isqrt runs."""
+    global _PHI
+    if n < TABLE_BOUND:
+        table = np.arange(TABLE_BOUND, dtype=np.int64)
+        _PHI = memoryview(_floor_phi_into(table, table))
+        return _PHI[n]
+    return (n + isqrt(5 * n * n)) // 2
 
 
 def floor_phi_half(n: int) -> int:
@@ -121,3 +150,45 @@ def floor_phi_half(n: int) -> int:
 def floor_phi2_half(n: int) -> int:
     """Exact floor(phi^2 * n + 1/2), via floor((floor(2 n phi^2) + 1) / 2)."""
     return (floor_phi2(2 * n) + 1) // 2
+
+
+# for m up to here 5 m^2 is exact in float64 and r * r cannot overflow int64
+_VEC_PHI_MAX = isqrt((1 << 52) // 5)
+
+
+def vec_floor_phi(m: np.ndarray) -> np.ndarray:
+    """Exact floor(phi m) elementwise over a 1-d array, in int64; m past
+    _VEC_PHI_MAX go through the integer scalar.  A negative entry raises
+    ValueError."""
+    if m.size and int(m.min()) < 0:
+        raise ValueError("n must be >= 0")
+    if m.size and int(m.max()) > _VEC_PHI_MAX:
+        return np.array([floor_phi(int(v)) for v in m], dtype=np.int64)
+    return _floor_phi_into(m, np.empty(m.shape, dtype=np.int64))
+
+
+def _floor_phi_into(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes floor(phi m) into out (which may be m itself) for 0 <= m <=
+    _VEC_PHI_MAX and returns out.  Works in blocks of a quarter of
+    TABLE_BOUND, so filling the table of floor_phi in place needs little
+    more than the table."""
+    block = TABLE_BOUND >> 2
+    for lo in range(0, m.size, block):
+        mb = m[lo : lo + block]
+        five = 5 * mb * mb
+        r = np.sqrt(five.astype(np.float64)).astype(np.int64)
+        # exact integer sqrt: repair float rounding
+        while True:
+            over = r * r > five
+            if not over.any():
+                break
+            r[over] -= 1
+        while True:
+            under = (r + 1) * (r + 1) <= five
+            if not under.any():
+                break
+            r[under] += 1
+        r += mb
+        r //= 2
+        out[lo : lo + block] = r
+    return out

@@ -517,7 +517,7 @@ class Reproduction:
     def _c11_main(self):
         big = nu.floor_phi2(nu.floor_phi2(nu.floor_phi2(nu.floor_phi2(nu.floor_phi2(2000))))) + 5
         a = seqs.oracle("a105774").table(big + 2)  # indices stay below 2.5e5
-        floor_phi = seqs._vec_floor_phi
+        floor_phi = nu.vec_floor_phi
         ns = np.arange(1, 2001, dtype=np.int64)
         a_n, a_phi_n = a[ns], a[floor_phi(ns)]
         x = a_phi_n - floor_phi(a_n)  # seqs.x_comp over ns
@@ -649,7 +649,7 @@ def learner_roundtrip(seed, catalog):
             f = lambda ms: (a * ms + b) // c
         else:
             text = f"Ex $phin(n,x) & z=({a}*x+{b})/{c}"
-            f = lambda ms: (a * seqs._vec_floor_phi(ms) + b) // c
+            f = lambda ms: (a * nu.vec_floor_phi(ms) + b) // c
         oracle = seqs.SequenceOracle(
             text, lambda m: int(f(np.array([m]))[0]), lambda n: f(np.arange(n)),
             (lambda _, ms: f(ms)) if trial % 2 else None,

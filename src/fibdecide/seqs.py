@@ -19,7 +19,6 @@ from functools import partial
 
 import numpy as np
 
-from . import automata as au
 from . import numeration as nu
 
 __all__ = [
@@ -172,52 +171,21 @@ LUCAS_VARIANT_PREFIX = [0, 1, 2, 1, 3, 6, 5, 6, 10, 9, 10, 8, 17, 16, 17, 15, 12
 
 def _beatty_batch(kind: str, ms: np.ndarray) -> np.ndarray:
     ms = ms.astype(np.int64)
+    floor_phi = nu.vec_floor_phi
     if kind == "phi":
-        return _vec_floor_phi(ms)
+        return floor_phi(ms)
     if kind == "phi2":
-        return _vec_floor_phi(ms) + ms
+        return floor_phi(ms) + ms
     if kind == "a007067":
-        return (_vec_floor_phi(2 * ms) + 1) // 2
+        return (floor_phi(2 * ms) + 1) // 2
     if kind == "a004937":
-        return (_vec_floor_phi(2 * ms) + 2 * ms + 1) // 2
+        return (floor_phi(2 * ms) + 2 * ms + 1) // 2
     if kind == "a007064":
-        return ms + 1 + _vec_floor_phi(2 * ms + 1) // 2
+        return ms + 1 + floor_phi(2 * ms + 1) // 2
     if kind == "a003623":
-        inner = _vec_floor_phi(ms) + ms
-        return _vec_floor_phi(inner)
+        inner = floor_phi(ms) + ms
+        return floor_phi(inner)
     raise KeyError(kind)
-
-
-# for m up to here 5 m^2 is exact in float64 and r * r cannot overflow int64
-_VEC_PHI_MAX = nu.isqrt((1 << 52) // 5)
-
-
-def _vec_floor_phi(m: np.ndarray) -> np.ndarray:
-    """Exact floor(phi m) elementwise; larger m go through the integer scalar.
-
-    Works in blocks of automata.RUN_BLOCK, so the temporaries stay small
-    next to the result.
-    """
-    if m.size and int(m.max()) > _VEC_PHI_MAX:
-        return np.array([nu.floor_phi(int(v)) for v in m], dtype=np.int64)
-    out = np.empty(m.shape, dtype=np.int64)
-    for lo in range(0, m.size, au.RUN_BLOCK):
-        mb = m[lo : lo + au.RUN_BLOCK]
-        five = 5 * mb * mb
-        r = np.sqrt(five.astype(np.float64)).astype(np.int64)
-        # exact integer sqrt: repair float rounding
-        while True:
-            over = r * r > five
-            if not over.any():
-                break
-            r[over] -= 1
-        while True:
-            under = (r + 1) * (r + 1) <= five
-            if not under.any():
-                break
-            r[under] += 1
-        out[lo : lo + mb.size] = (mb + r) // 2
-    return out
 
 
 # -- derived sequences --------------------------------------------------------
@@ -375,8 +343,15 @@ def d_comp(n: int) -> int:
 
 
 def _table_first(name: str, n: int) -> int:
-    """oracle(name).value(n); below _BATCH_TABLE the oracle's table is
-    first grown, by its batch form, to the power of two above n."""
+    """oracle(name).value(n), read from the table of the cached oracle when
+    it holds n; below _BATCH_TABLE the oracle's table is first grown, by its
+    batch form, to the power of two above n."""
+    # the sign check comes first: the view would wrap a negative index
+    try:
+        if n >= 0:
+            return _CACHE[name]._view[n]
+    except (KeyError, IndexError):
+        pass
     found = oracle(name)
     if len(found._view) <= n < _BATCH_TABLE:
         found.table(1 << int(n).bit_length())
@@ -399,14 +374,14 @@ def _d_comp_scalar(n: int) -> int:
 def _x_comp_batch(ms: np.ndarray) -> np.ndarray:
     """x_comp at each m, from a105774's batch and the vector floor(phi m)."""
     a = oracle("a105774").batch
-    return a(_vec_floor_phi(ms)) - _vec_floor_phi(a(ms))
+    return a(nu.vec_floor_phi(ms)) - nu.vec_floor_phi(a(ms))
 
 
 def _d_comp_batch(ms: np.ndarray) -> np.ndarray:
     """d_comp at each m; floor(phi^2 v + 1/2) is (floor(2 phi v) + 2v + 1) // 2."""
     a = oracle("a105774").batch
     am = a(ms)
-    return (_vec_floor_phi(2 * am) + 2 * am + 1) // 2 - a(_vec_floor_phi(ms)) - am
+    return (nu.vec_floor_phi(2 * am) + 2 * am + 1) // 2 - a(nu.vec_floor_phi(ms)) - am
 
 
 def _python_ints(scalar):
@@ -447,8 +422,9 @@ def _nested_step(b, m):
 
 
 # batch reads arguments below this from the table and fills the table no
-# further; larger arguments take the oracle's defining step
-_BATCH_TABLE = 1 << 15
+# further; larger arguments take the oracle's defining step.  It is the
+# bound of numeration's floor(phi m) table.
+_BATCH_TABLE = nu.TABLE_BOUND
 # the int64 oracles stay below 8 (m + 1), so below this their values and
 # the steps' products fit int64
 _BATCH_MAX = 1 << 56

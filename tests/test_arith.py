@@ -391,7 +391,7 @@ def test_phin_check_names_the_first_wrong_n(catalog, monkeypatch):
     monkeypatch.setattr(au, "RUN_BLOCK", 4)
     phin = catalog["phin"]
     n = 64
-    assert arith._first_miss(phin, n, seqs._vec_floor_phi) is None
+    assert arith._first_miss(phin, n, nu.vec_floor_phi) is None
     ns = np.arange(n)
     want_vals = np.array([nu.floor_phi(int(m)) for m in ns])
     misses = set()
@@ -402,7 +402,7 @@ def test_phin_check_names_the_first_wrong_n(catalog, monkeypatch):
             mutant = au.zero_normalize(au.Automaton(2, delta, phin.outputs, phin.initial))
             ok = arith.accepts_number_pairs(mutant, ns, want_vals)
             want = None if ok.all() else int(np.flatnonzero(~ok)[0])
-            assert arith._first_miss(mutant, n, seqs._vec_floor_phi) == want
+            assert arith._first_miss(mutant, n, nu.vec_floor_phi) == want
             misses.add(want)
     assert max(m for m in misses if m is not None) >= 8
 

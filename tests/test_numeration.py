@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,79 @@ def test_floor_phi_examples():
     assert nu.floor_phi2(10) == 26
 
 
+def _greedy_encode(n):
+    """Reference Zeckendorf encoder on its own Fibonacci list."""
+    fibs = [1, 2]
+    while fibs[-1] <= n:
+        fibs.append(fibs[-1] + fibs[-2])
+    digits = []
+    for f in reversed(fibs[:-1]):
+        take = f <= n
+        digits.append("1" if take else "0")
+        n -= f * take
+    return "".join(digits).lstrip("0")
+
+
+def test_encode_and_decode_match_a_reference_greedy_encoder():
+    rng = random.Random(38)
+    ns = [*range(1 << 16), *(rng.randrange(10**30) for _ in range(2000)), 10**30 - 1]
+    for n in ns:
+        word = _greedy_encode(n)
+        assert nu.encode(n) == word, n
+        assert nu.decode(word) == n, n
+    # decode also reads leading zeros and adjacent 1s
+    for _ in range(2000):
+        word = "".join(rng.choice("01") for _ in range(rng.randrange(150)))
+        weights = [1, 2]
+        while len(weights) < len(word):
+            weights.append(weights[-1] + weights[-2])
+        want = sum(w for w, ch in zip(weights, reversed(word)) if ch == "1")
+        assert nu.decode(word) == want, word
+
+
+def _isqrt_forms(m):
+    """floor(phi m), floor(phi^2 m) and both rounded by 1/2, from isqrt."""
+    r, r2 = nu.isqrt(5 * m * m), nu.isqrt(20 * m * m)
+    return ((m + r) // 2, (3 * m + r) // 2,
+            ((2 * m + r2) // 2 + 1) // 2, ((6 * m + r2) // 2 + 1) // 2)
+
+
+_TABLE_SCALARS = (nu.floor_phi, nu.floor_phi2, nu.floor_phi_half, nu.floor_phi2_half)
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_table_scalars_equal_the_isqrt_forms(monkeypatch, cold):
+    if cold:
+        monkeypatch.setattr(nu, "_PHI", memoryview(b""))
+    for m in [10**12, 10**30, *range(nu.TABLE_BOUND + 64)]:
+        assert tuple(f(m) for f in _TABLE_SCALARS) == _isqrt_forms(m), m
+
+
+def test_table_scalars_check_the_sign_on_a_filled_table():
+    nu.floor_phi(5)
+    assert len(nu._PHI) == nu.TABLE_BOUND  # a memoryview, which wraps -1
+    for f in _TABLE_SCALARS:
+        for n in (-1, -2, -nu.TABLE_BOUND):
+            with pytest.raises(ValueError, match="^n must be >= 0$"):
+                f(n)
+
+
+def test_floor_phi_past_the_table_leaves_it_at_its_bound(monkeypatch):
+    monkeypatch.setattr(nu, "_PHI", memoryview(b""))
+    assert nu.floor_phi(10**12) == _isqrt_forms(10**12)[0]
+    assert len(nu._PHI) == 0  # past the bound nothing is filled
+    assert nu.floor_phi2(nu.TABLE_BOUND - 1) == _isqrt_forms(nu.TABLE_BOUND - 1)[1]
+    assert len(nu._PHI) == nu.TABLE_BOUND
+    nu.floor_phi(10**12)
+    assert len(nu._PHI) == nu.TABLE_BOUND
+
+
+def test_vector_floor_rejects_negative_entries():
+    for ms in ([-3], [5, -1, 7], [-3, 2**40]):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            nu.vec_floor_phi(np.array(ms, dtype=np.int64))
+
+
 def test_rounded_beatty_examples():
     assert nu.floor_phi_half(0) == 0
     assert nu.floor_phi_half(1) == 2
@@ -132,7 +207,7 @@ def test_floor_phi_table_matches_scalar():
 def test_vectorized_floor_phi_large_arguments():
     # 5 m^2 overflows int64 for these m; they must take the exact scalar path
     ms = np.array([0, 7, 10**6, 2**32 + 5, 2**33], dtype=np.int64)
-    got = seqs._vec_floor_phi(ms)
+    got = nu.vec_floor_phi(ms)
     assert [int(v) for v in got] == [nu.floor_phi(int(m)) for m in ms]
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from fibdecide import automata as au
 from fibdecide import numeration as nu
 from fibdecide import seqs
 
@@ -362,7 +361,7 @@ def _batch_arguments(name, rng):
         rng.integers(1 << 21, top, 200),
     ]
     if name in _BEATTY:
-        parts.append(seqs._VEC_PHI_MAX + rng.integers(1, 1 << 20, 40))
+        parts.append(nu._VEC_PHI_MAX + rng.integers(1, 1 << 20, 40))
     return np.concatenate(parts)
 
 
@@ -412,16 +411,27 @@ def _traced_peak(fn):
 
 
 def test_vec_floor_phi_works_in_blocks():
-    got, peak = _traced_peak(lambda: seqs._vec_floor_phi(np.arange(1 << 20)))
+    got, peak = _traced_peak(lambda: nu.vec_floor_phi(np.arange(1 << 20)))
     assert peak < 2.5 * got.nbytes
-    edges = np.arange(1, (1 << 20) // au.RUN_BLOCK) * au.RUN_BLOCK
+    block = nu.TABLE_BOUND >> 2
+    edges = np.arange(1, (1 << 20) // block) * block
     fibs = [nu.fib(j) for j in range(2, 31)]
     for m in sorted({*(edges - 1), *edges, *(edges + 1), *fibs}):
         assert got[m] == nu.floor_phi(int(m)), m
     # Fibonacci arguments up to the vector path's limit: floor(phi F(j)) is
     # the closest call for the float square root
-    fibs = [nu.fib(j) for j in range(2, 80) if nu.fib(j) <= seqs._VEC_PHI_MAX]
-    assert seqs._vec_floor_phi(np.array(fibs)).tolist() == [nu.floor_phi(f) for f in fibs]
+    fibs = [nu.fib(j) for j in range(2, 80) if nu.fib(j) <= nu._VEC_PHI_MAX]
+    assert nu.vec_floor_phi(np.array(fibs)).tolist() == [nu.floor_phi(f) for f in fibs]
+
+
+def test_floor_phi_table_fills_in_place(monkeypatch):
+    """The first scalar floor_phi below the bound fills the whole table;
+    beside it only a few blocks of a quarter of the table are alive."""
+    monkeypatch.setattr(nu, "_PHI", memoryview(b""))
+    got, peak = _traced_peak(lambda: nu.floor_phi(5))
+    assert got == 8
+    assert len(nu._PHI) == nu.TABLE_BOUND
+    assert peak < 2.5 * nu._PHI.nbytes
 
 
 def test_oracle_regrow_never_holds_both_tables():
@@ -474,6 +484,22 @@ def test_compositions_read_their_tables_and_compose_past_them(monkeypatch):
         assert seqs.d_comp(m) == nu.floor_phi2_half(am) - a(floor_phi(m)) - am, m
     for name in ("x_comp", "d_comp"):
         assert len(seqs.oracle(name)._table) <= seqs._BATCH_TABLE
+        seqs.oracle(name).table(2**15 + 5000)  # a caller's table past the bound
+    assert [seqs.x_comp(m) for m in range(n)] == want_x
+    assert [seqs.d_comp(m) for m in range(n)] == want_d
+
+
+def test_warm_composition_reads_skip_the_registry(monkeypatch):
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    want = [seqs.x_comp(100), seqs.d_comp(100)]
+
+    def no_lookup(name):
+        raise AssertionError(f"oracle({name!r}) looked up")
+
+    monkeypatch.setattr(seqs, "oracle", no_lookup)
+    assert [seqs.x_comp(100), seqs.d_comp(100)] == want
+    with pytest.raises(AssertionError, match="looked up"):
+        seqs.x_comp(1000)  # past the table: grown through the registry
 
 
 @pytest.mark.parametrize("name", ["x_comp", "d_comp"])
