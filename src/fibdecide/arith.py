@@ -141,8 +141,13 @@ def linear(coeffs: tuple, k: int = 0, op: str = "=") -> Automaton:
             row.append(index[key])
         rows.append(row)
     outputs = [holds(1), holds(-1)] + [holds(p + q + k) for p, q in order]
-    base = Automaton(n, np.array(rows, dtype=np.int32), np.array(outputs, dtype=np.int32), 2)
-    return au.zero_normalize(au.minimize(au.intersect(base, valid_tracks(n))))
+    # (0, 0) and valid_tracks' start loop on the zero symbol, so the
+    # relation is already closed under leading zeros
+    base = Automaton(
+        n, np.array(rows, dtype=np.int32), np.array(outputs, dtype=np.int32), 2,
+        zero_normalized=True,
+    )
+    return au.minimize(au.intersect(base, valid_tracks(n)))
 
 
 def eq() -> Automaton:

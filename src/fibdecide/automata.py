@@ -577,9 +577,13 @@ def zero_normalize(a: Automaton) -> Automaton:
 
     The result accepts w iff a accepts some u with strip0(u) = strip0(w),
     i.e. membership becomes invariant under adding or removing leading
-    all-zero symbols.
+    all-zero symbols.  When the start state loops on the zero symbol the
+    language already is, and the result is minimize's: the subset
+    construction would only rebuild the same canonical automaton.
     """
     _require_boolean(a)
+    if a.delta[a.initial, 0] == a.initial:
+        return minimize(Automaton(a.arity, a.delta, a.outputs, a.initial, zero_normalized=True))
     succ = [[(t,) for t in col] for col in a.delta.T.tolist()]
     return _padded_subsets(a.arity, [a.initial], succ, a.outputs == 1)
 

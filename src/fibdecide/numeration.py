@@ -157,14 +157,19 @@ _VEC_PHI_MAX = isqrt((1 << 52) // 5)
 
 
 def vec_floor_phi(m: np.ndarray) -> np.ndarray:
-    """Exact floor(phi m) elementwise over a 1-d array, in int64; m past
-    _VEC_PHI_MAX go through the integer scalar.  A negative entry raises
-    ValueError."""
+    """Exact floor(phi m) elementwise over a 1-d array, in int64; only the
+    entries past _VEC_PHI_MAX go through the integer scalar.  A negative
+    entry raises ValueError."""
     if m.size and int(m.min()) < 0:
         raise ValueError("n must be >= 0")
-    if m.size and int(m.max()) > _VEC_PHI_MAX:
-        return np.array([floor_phi(int(v)) for v in m], dtype=np.int64)
-    return _floor_phi_into(m, np.empty(m.shape, dtype=np.int64))
+    out = np.empty(m.shape, dtype=np.int64)
+    if not m.size or int(m.max()) <= _VEC_PHI_MAX:
+        return _floor_phi_into(m, out)
+    big = m > _VEC_PHI_MAX
+    _floor_phi_into(np.where(big, 0, m), out)
+    for i in np.flatnonzero(big).tolist():
+        out[i] = floor_phi(int(m[i]))
+    return out
 
 
 def _floor_phi_into(m: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -5,10 +5,13 @@ three-valued entries: accept, reject, or unknown.  Unknown entries appear
 only beyond the training bound (for sequence-backed oracles: pairs whose
 argument exceeds the sample count) and never participate in state merges;
 two prefixes fall into one state only when their signatures agree on every
-mutually known entry.  A guessed automaton is never trusted: callers
-certify it with first-order queries through the logic engine, and
-:func:`synthesize_certified` escalates the sample count until a candidate
-passes or the schedule runs out.
+mutually known entry.  An exact oracle leaves no entry unknown, so there a
+state is looked up by its signature's bytes alone.  After each hypothesis
+the sample is replayed, and the tails of up to _REPAIR_WORDS disagreeing
+samples join the suffixes in one repair round.  A guessed automaton is
+never trusted: callers certify it with first-order queries through the
+logic engine, and :func:`synthesize_certified` escalates the sample count
+until a candidate passes or the schedule runs out.
 
 Prefixes are tracked in closed form rather than as strings: after reading
 u, the value of any completion u.e is p*F(|e|+2) + q*F(|e|+1) + [e] for an
@@ -18,7 +21,9 @@ computed with a handful of vector operations.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -45,9 +50,11 @@ UNKNOWN = 2
 DEFAULT_SCHEDULE = (4096, 16384, 65536, 262144)
 
 # learner budgets: table states, and the replay rounds spent repairing
-# premature merges
+# premature merges; a round adds the tails of at most _REPAIR_WORDS
+# disagreeing samples
 _PAIR_MAX_STATES = 1024
 _REPLAY_ROUNDS = 24
+_REPAIR_WORDS = 32
 # signature entries computed at once while closing a table: bounds the
 # (rows x width) matrices of one chunk of the frontier
 _CHUNK_CELLS = 1 << 16
@@ -72,15 +79,17 @@ class InconsistencyError(SynthesisError):
 class ObservationTable:
     """Signature-indexed state table of :func:`guess_synchronized`.
 
-    source (a _PairSource) provides: n_symbols, width, init(),
+    source (a _PairSource) provides: n_symbols, width, exact, init(),
     step(state, sym), signatures(states) -> uint8 ternary matrix with one
     row of length width per state (column 0 is the empty suffix), and
-    describe(state) for diagnostics.
+    describe(state) for diagnostics.  exact is True when no entry is ever
+    UNKNOWN.
 
     The stored signatures are the rows of one uint8 matrix.  They stay
     pairwise incompatible (each pair clashes on a mutually known entry),
     since a row only ever gains known entries by a join with a compatible
-    signature.
+    signature.  Without UNKNOWN entries compatible means equal, so on an
+    exact source a lookup is one dict read by the signature's bytes.
     """
 
     def __init__(self, source, max_states: int, max_depth: int):
@@ -99,7 +108,7 @@ class ObservationTable:
 
     def _lookup(self, sig: np.ndarray) -> int | None:
         hit = self._exact.get(sig.tobytes())
-        if hit is not None:
+        if hit is not None or self.source.exact:
             return hit
         rows = self.sigs
         clash = (rows != sig) & (rows != UNKNOWN) & (sig != UNKNOWN)
@@ -206,6 +215,14 @@ class _SuffixData:
         self.first = [flags, flags]
         self.extend(words)
 
+    def copy(self) -> "_SuffixData":
+        """A copy that :meth:`extend` can grow without touching this one
+        (it assigns into the per-track lists)."""
+        other = copy.copy(self)
+        other.values, other.valid = list(self.values), list(self.valid)
+        other.first = list(self.first)
+        return other
+
     def extend(self, words) -> None:
         lens = np.array([len(w) for w in words], dtype=np.int64)
         width = max(int(lens.max(initial=0)), 1)
@@ -227,6 +244,14 @@ class _SuffixData:
             self.first[t] = np.concatenate([self.first[t], ((lead >> shift) & 1) == 1])
 
 
+@cache
+def _battery(zero_run: int):
+    """The starting suffixes of :func:`guess_synchronized` as a frozenset
+    and their descriptors; callers extend copies."""
+    words = _suffix_words(4, zero_run, tail_len=2)
+    return frozenset(words), _SuffixData(words)
+
+
 # -- learner source -----------------------------------------------------------
 
 
@@ -234,8 +259,9 @@ class _PairSource:
     """Synchronized-relation oracle: accepts (n, x) iff x = f(n), both tracks valid.
 
     With `batch` set the oracle is evaluated exactly everywhere (entries
-    are never unknown).  Otherwise knowledge stops at the table: n beyond
-    it yields UNKNOWN unless the string is invalid (then reject, known).
+    are never unknown, and the source is `exact`).  Otherwise knowledge
+    stops at the table: n beyond it yields UNKNOWN unless the string is
+    invalid (then reject, known).
     """
 
     arity = 2
@@ -244,6 +270,7 @@ class _PairSource:
     def __init__(self, suffixes: _SuffixData, table=None, batch=None):
         self.table = table
         self.batch = batch
+        self.exact = batch is not None
         self.n_known = len(table) if table is not None else None
         self.sfx = suffixes
         self.width = suffixes.count
@@ -291,16 +318,18 @@ def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automat
 
     Oracles with cheap scalar evaluation are observed exactly at any
     depth; table-only oracles leave entries beyond the sample unknown.
-    After each hypothesis the training sample is replayed; a disagreement
-    word is fed back as fresh distinguishing suffixes (its tails), which
-    repairs any premature state merge.  The result is intersected with
-    track validity, zero-normalized, and minimized — certification is
-    still the caller's job.
+    After each hypothesis the training sample is replayed; the words of
+    the first _REPAIR_WORDS disagreeing samples are fed back at once as
+    fresh distinguishing suffixes (their tails), which repairs premature
+    state merges.  The result is intersected with track validity,
+    zero-normalized, and minimized — certification is still the caller's
+    job.
     """
     from . import arith
 
     max_depth = len(nu.encode(max(n_samples, 2))) + 8
-    words = _suffix_words(4, zero_run, tail_len=2)
+    words, battery = _battery(zero_run)
+    sfx, seen = battery.copy(), set(words)
     batch = oracle.batch if getattr(oracle, "cheap_scalar", False) else None
     table_vals = None
     if batch is None:
@@ -308,8 +337,6 @@ def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automat
     probe = min(n_samples, 50_000)
     ns = np.arange(probe)
     want = oracle.table(probe)
-    sfx = _SuffixData(words)
-    seen = set(words)
     for _ in range(_REPLAY_ROUNDS):
         src = _PairSource(sfx, table=table_vals, batch=batch)
         table = ObservationTable(src, _PAIR_MAX_STATES, max_depth)
@@ -320,16 +347,19 @@ def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automat
         agreed = arith.accepts_number_pairs(cand, ns, want)
         if bool(agreed.all()):
             return cand
-        bad = int(np.flatnonzero(~agreed)[0])
-        word = tuple(au.encode_pair_word((bad, int(want[bad]))))
-        fresh = [word[i:] for i in range(len(word))]
-        fresh = [w for w in fresh if w not in seen]
+        bad = np.flatnonzero(~agreed)[:_REPAIR_WORDS].tolist()
+        fresh = []
+        for n in bad:
+            word = tuple(au.encode_pair_word((n, int(want[n]))))
+            for tail in (word[i:] for i in range(len(word))):
+                if tail not in seen:
+                    seen.add(tail)
+                    fresh.append(tail)
         if not fresh:
             raise InconsistencyError(
-                f"replay keeps failing at n={bad} with no new separators",
-                witness=(bad, int(want[bad])),
+                f"replay keeps failing at n={bad[0]} with no new separators",
+                witness=(bad[0], int(want[bad[0]])),
             )
-        seen.update(fresh)
         sfx.extend(fresh)
     raise BoundExhausted(f"replay did not stabilize within {_REPLAY_ROUNDS} rounds")
 

@@ -211,6 +211,24 @@ def test_vectorized_floor_phi_large_arguments():
     assert [int(v) for v in got] == [nu.floor_phi(int(m)) for m in ms]
 
 
+def test_vectorized_floor_phi_sends_only_large_entries_to_the_scalar(monkeypatch):
+    real = nu.floor_phi
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    ms = np.append(np.arange(1000), nu._VEC_PHI_MAX + 1)
+    monkeypatch.setattr(nu, "floor_phi", counted)
+    got = nu.vec_floor_phi(ms)
+    assert calls == [nu._VEC_PHI_MAX + 1]
+    monkeypatch.undo()
+    assert got.tolist() == [nu.floor_phi(int(m)) for m in ms]
+    with pytest.raises(ValueError):
+        nu.vec_floor_phi(np.append(ms, -1))
+
+
 def test_roundtrip_full_range_vectorized():
     """decode(encode(n)) = n and no adjacent 1s for all n < 2**20.
 

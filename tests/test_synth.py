@@ -190,6 +190,9 @@ def test_observation_table_unknowns_never_merge_known_conflicts():
 class _StubSource:
     width = 12
 
+    def __init__(self, exact=False):
+        self.exact = exact
+
     def describe(self, state):
         return repr(state)
 
@@ -197,22 +200,65 @@ class _StubSource:
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.9])
 def test_observation_table_lookup_matches_reference(density):
     # ternary signatures drawn around a few binary patterns, with UNKNOWN
-    # entries at the given density: exact hits, joins and new states
-    rng = np.random.default_rng(round(10 * density) + 3)
-    width = _StubSource.width
-    bases = rng.integers(0, 2, size=(6, width)).astype(np.uint8)
-    tab = synth.ObservationTable(_StubSource(), max_states=400, max_depth=0)
-    ref = reference_synth.ListTable()
-    got, want = [], []
-    for _ in range(400):
-        sig = bases[rng.integers(len(bases))].copy()
-        sig[rng.random(width) < density] = synth.UNKNOWN
-        i = tab._lookup(sig)
-        got.append(tab._add(sig, None, 0) if i is None else i)
-        j = ref.lookup(sig)
-        want.append(ref.add(sig.copy()) if j is None else j)
-    assert got == want
-    assert np.array_equal(tab.sigs, np.array(ref.sigs))
+    # entries at the given density: exact hits, joins and new states; with
+    # none, an exact source (lookups by key alone) gives the same states
+    for exact in (False, True) if density == 0 else (False,):
+        rng = np.random.default_rng(round(10 * density) + 3)
+        width = _StubSource.width
+        bases = rng.integers(0, 2, size=(6, width)).astype(np.uint8)
+        tab = synth.ObservationTable(_StubSource(exact), max_states=400, max_depth=0)
+        ref = reference_synth.ListTable()
+        got, want = [], []
+        for _ in range(400):
+            sig = bases[rng.integers(len(bases))].copy()
+            sig[rng.random(width) < density] = synth.UNKNOWN
+            i = tab._lookup(sig)
+            got.append(tab._add(sig, None, 0) if i is None else i)
+            j = ref.lookup(sig)
+            want.append(ref.add(sig.copy()) if j is None else j)
+        assert got == want
+        assert np.array_equal(tab.sigs, np.array(ref.sigs))
+
+
+def _count_tables(monkeypatch):
+    """The suffix count of every observation table closed from now on."""
+    widths = []
+    real = synth.ObservationTable.hypothesis
+
+    def counted(self):
+        widths.append(self.source.width)
+        return real(self)
+
+    monkeypatch.setattr(synth.ObservationTable, "hypothesis", counted)
+    return widths
+
+
+def test_one_repair_round_takes_many_disagreements(monkeypatch):
+    # a round adds the tails of up to _REPAIR_WORDS disagreeing samples;
+    # the tails of the first disagreement alone take 10 tables to repair
+    # the same merges
+    widths = _count_tables(monkeypatch)
+    got = synth.guess_synchronized(seqs.oracle("lucas_variant"), 4096)
+    assert len(widths) <= 3
+    widths.clear()
+    monkeypatch.setattr(synth, "_REPAIR_WORDS", 1)
+    one = synth.guess_synchronized(seqs.oracle("lucas_variant"), 4096)
+    assert len(widths) == 10
+    assert got.n_states == one.n_states == 103
+    assert au.equivalent(got, one)
+
+
+def test_extended_suffixes_leave_the_cached_battery_alone(monkeypatch):
+    widths = _count_tables(monkeypatch)
+    synth.guess_synchronized(seqs.oracle("lucas_variant"), 4096)
+    assert widths[0] == 565 and widths[-1] > 565
+    words, battery = synth._battery(16)
+    assert len(words) == battery.count == 565
+    for column in (battery.f2, battery.f1, *battery.values, *battery.valid, *battery.first):
+        assert column.size == 565
+    widths.clear()
+    synth.guess_synchronized(seqs.oracle("a105774"), 4096, zero_run=16)
+    assert widths == [565]
 
 
 def test_suffix_data_matches_bitwise_reference():
