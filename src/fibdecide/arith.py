@@ -17,7 +17,7 @@ about numbers, with padding conventions handled once here.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -276,7 +276,7 @@ _PHIN_CERT = [
 _PHIN_SHIFT = 'reg shift msd_fib msd_fib "([0,0]|[0,1][1,0])*":'
 _PHIN_DEF = 'def phin "(n=0 & z=0) | Ex,y $shift(x,y) & n=x+1 & z=y+1":'
 
-# name, definition and seqs._beatty_batch kind of its oracle; a035487 is a
+# name, definition and seqs._BEATTY kind of its oracle; a035487 is a
 # set, checked against the mask _certify_beatty builds
 _BEATTY_DEFS = [
     ("phi2n", 'Ex $phin(n,x) & z=x+n', "phi2"),
@@ -372,10 +372,10 @@ def _certify_beatty(cat: dict, n: int) -> None:
     member = np.zeros(n, dtype=bool)
     for lo in range(0, n + 1, au.RUN_BLOCK):
         ms = np.arange(lo, lo + au.RUN_BLOCK, dtype=np.int64)
-        vals = seqs._beatty_batch("a007067", seqs._beatty_batch("a007064", ms))
+        vals = seqs._BEATTY["a007067"](seqs._BEATTY["a007064"](ms))
         member[vals[vals < n]] = True
         if vals[-1] >= n:
             break
     for name, _, kind in _BEATTY_DEFS:
-        oracle = member.__getitem__ if kind is None else partial(seqs._beatty_batch, kind)
+        oracle = member.__getitem__ if kind is None else seqs._BEATTY[kind]
         admit(name, cat[name], [], cat, oracle, n)

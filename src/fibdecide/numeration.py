@@ -157,9 +157,16 @@ _VEC_PHI_MAX = isqrt((1 << 52) // 5)
 
 
 def vec_floor_phi(m: np.ndarray) -> np.ndarray:
-    """Exact floor(phi m) elementwise over a 1-d array, in int64; only the
-    entries past _VEC_PHI_MAX go through the integer scalar.  A negative
-    entry raises ValueError."""
+    """Exact floor(phi m) elementwise over a 1-d integer array, in int64;
+    only the entries past _VEC_PHI_MAX go through the integer scalar.  Any
+    integer dtype is read as int64 (5 m^2 would wrap in a narrower one); a
+    non-integer array raises TypeError, a negative entry ValueError, and a
+    uint64 entry past int64 OverflowError."""
+    if m.dtype.kind not in "iu":
+        raise TypeError(f"floor(phi m) needs an integer array, got dtype {m.dtype}")
+    if m.dtype == np.uint64 and m.size and int(m.max()) >> 63:
+        raise OverflowError("floor(phi m) leaves int64 for m >= 2**63")
+    m = m.astype(np.int64, copy=False)
     if m.size and int(m.min()) < 0:
         raise ValueError("n must be >= 0")
     out = np.empty(m.shape, dtype=np.int64)

@@ -1,9 +1,11 @@
 """Exact big-integer oracles for every sequence the package reasons about.
 
 These are the ground truth that automata are synthesized from and verified
-against.  Everything is exact integer arithmetic; tables are filled with
-vectorized numpy block recurrences, and scalars and batches fall back to
-the defining recurrences above the table.
+against.  Everything is exact integer arithmetic.  Recurrence tables are
+filled with vectorized numpy block recurrences, and scalars and batches
+fall back to the defining recurrence above the table.  Each closed form
+(Beatty, position, composition) is one formula over a natural or an int64
+array: its oracle's scalar, table and batch step.
 
 Single letters like b, c, d are hopelessly overloaded across the related
 literature (b is both the lower Wythoff sequence and the ascending
@@ -169,23 +171,21 @@ LUCAS_VARIANT_PREFIX = [0, 1, 2, 1, 3, 6, 5, 6, 10, 9, 10, 8, 17, 16, 17, 15, 12
 # -- Beatty oracles -----------------------------------------------------------
 
 
-def _beatty_batch(kind: str, ms: np.ndarray) -> np.ndarray:
-    ms = ms.astype(np.int64)
-    floor_phi = nu.vec_floor_phi
-    if kind == "phi":
-        return floor_phi(ms)
-    if kind == "phi2":
-        return floor_phi(ms) + ms
-    if kind == "a007067":
-        return (floor_phi(2 * ms) + 1) // 2
-    if kind == "a004937":
-        return (floor_phi(2 * ms) + 2 * ms + 1) // 2
-    if kind == "a007064":
-        return ms + 1 + floor_phi(2 * ms + 1) // 2
-    if kind == "a003623":
-        inner = floor_phi(ms) + ms
-        return floor_phi(inner)
-    raise KeyError(kind)
+def _floor_phi(m):
+    """floor(phi m) of a natural, or elementwise of an int64 array."""
+    return nu.vec_floor_phi(m) if isinstance(m, np.ndarray) else nu.floor_phi(m)
+
+
+# kind -> its closed form over floor(phi m), at a natural or an int64 array
+_BEATTY = {
+    "phi": _floor_phi,
+    "phi2": lambda m: _floor_phi(m) + m,  # phi^2 = phi + 1
+    # floor(phi m + 1/2) and floor(phi^2 m + 1/2), from floor(2 phi m)
+    "a007067": lambda m: (_floor_phi(2 * m) + 1) // 2,
+    "a004937": lambda m: (_floor_phi(2 * m) + 2 * m + 1) // 2,
+    "a007064": lambda m: m + 1 + _floor_phi(2 * m + 1) // 2,
+    "a003623": lambda m: _floor_phi(_floor_phi(m) + m),
+}
 
 
 # -- derived sequences --------------------------------------------------------
@@ -223,35 +223,22 @@ def positions(kind: str, n: int) -> list[int]:
     return [int(i) for i in idx]
 
 
+def _p1(m):
+    """p1(0) = 0 and p1(m) = floor(phi p2(m-1) + 1/2) past it.  On a natural
+    np.maximum and np.where give an np.int64, which wraps past 2**63."""
+    if isinstance(m, np.ndarray):
+        return np.where(m == 0, 0, _BEATTY["a007067"](_BEATTY["a007064"](np.maximum(m, 1) - 1)))
+    return 0 if m == 0 else _BEATTY["a007067"](_BEATTY["a007064"](m - 1))
+
+
+# closed forms of the positions of 0, 1 and 2 in the count sequence:
+# p0(m) = floor(phi^2 (m+1) + 1/2); p2(m) = m + 1 + floor(floor(phi(2m+1))/2)
+_POSITIONS = {"p0": lambda m: _BEATTY["a004937"](m + 1), "p1": _p1, "p2": _BEATTY["a007064"]}
+
+
 def position_value(kind: str, m: int) -> int:
-    """Closed-form position oracles (cross-checked against the scan in tests).
-
-    p0(m) = floor(phi^2 (m+1) + 1/2); p2(m) = m + 1 + floor(floor(phi(2m+1))/2);
-    p1(0) = 0 and p1(m) = floor(phi p2(m-1) + 1/2) for m >= 1.
-    """
-    _natural("position_value", m)
-    if kind == "p0":
-        return nu.floor_phi2_half(m + 1)
-    if kind == "p2":
-        return m + 1 + nu.floor_phi(2 * m + 1) // 2
-    if kind == "p1":
-        if m == 0:
-            return 0
-        return nu.floor_phi_half(position_value("p2", m - 1))
-    raise KeyError(kind)
-
-
-def _positions_batch(kind: str, ms: np.ndarray) -> np.ndarray:
-    ms = ms.astype(np.int64)
-    if kind == "p0":
-        return _beatty_batch("a004937", ms + 1)
-    if kind == "p2":
-        return _beatty_batch("a007064", ms)
-    if kind == "p1":
-        prev = _beatty_batch("a007064", np.maximum(ms, 1) - 1)
-        vals = _beatty_batch("a007067", prev)
-        return np.where(ms == 0, 0, vals)
-    raise KeyError(kind)
+    """Closed-form position oracles (cross-checked against the scan in tests)."""
+    return _POSITIONS[kind](_natural("position_value", m))
 
 
 def sorted_values(n: int) -> np.ndarray:
@@ -358,36 +345,28 @@ def _table_first(name: str, n: int) -> int:
     return found.value(n)
 
 
-def _x_comp_scalar(n: int) -> int:
-    """x_comp(n) composed from a105774's oracle and floor(phi m)."""
-    a = oracle("a105774").value
-    return a(nu.floor_phi(_natural("x_comp", n))) - nu.floor_phi(a(n))
+def _a105774(m):
+    """a105774's oracle at a natural (its value) or an int64 array (its batch)."""
+    found = oracle("a105774")
+    return found.batch(m) if isinstance(m, np.ndarray) else found.value(m)
 
 
-def _d_comp_scalar(n: int) -> int:
-    """d_comp(n) composed from a105774's oracle and floor(phi^2 m + 1/2)."""
-    a = oracle("a105774").value
-    an = a(_natural("d_comp", n))
-    return nu.floor_phi2_half(an) - a(nu.floor_phi(n)) - an
+def _x_comp(m):
+    """x_comp, composed from a105774's oracle and floor(phi m)."""
+    return _a105774(_floor_phi(m)) - _floor_phi(_a105774(m))
 
 
-def _x_comp_batch(ms: np.ndarray) -> np.ndarray:
-    """x_comp at each m, from a105774's batch and the vector floor(phi m)."""
-    a = oracle("a105774").batch
-    return a(nu.vec_floor_phi(ms)) - nu.vec_floor_phi(a(ms))
-
-
-def _d_comp_batch(ms: np.ndarray) -> np.ndarray:
-    """d_comp at each m; floor(phi^2 v + 1/2) is (floor(2 phi v) + 2v + 1) // 2."""
-    a = oracle("a105774").batch
-    am = a(ms)
-    return (nu.vec_floor_phi(2 * am) + 2 * am + 1) // 2 - a(nu.vec_floor_phi(ms)) - am
+def _d_comp(m):
+    """d_comp, composed from a105774's oracle and floor(phi^2 m + 1/2)."""
+    am = _a105774(m)
+    return _BEATTY["a004937"](am) - _a105774(_floor_phi(m)) - am
 
 
 def _python_ints(scalar):
-    """Pointwise form of a scalar whose values leave int64: Python ints
-    in an object array."""
-    return lambda ms: np.array([scalar(m) for m in ms.tolist()], dtype=object)
+    """scalar at a natural, and pointwise over an array, whose values leave
+    int64: Python ints in an object array."""
+    return lambda m: (np.array([scalar(k) for k in m.tolist()], dtype=object)
+                      if isinstance(m, np.ndarray) else scalar(m))
 
 
 # -- defining steps for batch evaluation ----------------------------------------
@@ -438,9 +417,9 @@ class SequenceOracle:
     arguments the step recurses on.  Oracles with a step support
     :meth:`batch` on arbitrary arguments (`cheap_scalar`), which lets
     learners observe exact values at any depth; the recurrences descend
-    by a golden-ratio factor per step.  Oracles whose scalar needs a
-    table scan (sorted rearrangement, occurrence counts) have no step and
-    only answer inside their table.
+    by a golden-ratio factor per step.  Table-scan oracles (sorted
+    rearrangement, occurrence counts) have no step; past the table,
+    `value` takes the scalar or, with none, reads `table_fn(n + 1)[n]`.
     """
 
     def __init__(self, name: str, scalar, table_fn, step=None):
@@ -459,6 +438,8 @@ class SequenceOracle:
         try:
             return self._view[n]
         except IndexError:
+            if self._scalar is None:
+                return int(self._table_fn(n + 1)[n])
             return int(self._scalar(n))
 
     def table(self, n: int) -> np.ndarray:
@@ -506,11 +487,16 @@ class SequenceOracle:
         return f"<SequenceOracle {self.name}>"
 
 
-def _pointwise(name: str, scalar, fn) -> SequenceOracle:
-    """An oracle whose vector form fn is exact at any argument: its table
-    is fn over 0..n-1, and its step is fn itself."""
-    return SequenceOracle(name, scalar, lambda n: fn(np.arange(n)), lambda _, ms: fn(ms))
+def _pointwise(name: str, fn) -> SequenceOracle:
+    """An oracle whose formula fn is exact at any argument, a natural or
+    an int64 array: fn is its scalar, its table is fn over 0..n-1, and
+    its step is fn itself."""
+    return SequenceOracle(name, fn, lambda n: fn(np.arange(n)), lambda _, ms: fn(ms))
 
+
+# name -> the one formula of each pointwise oracle
+_POINTWISE = {**_BEATTY, **_POSITIONS, "x_comp": _x_comp, "d_comp": _d_comp,
+              "s": _python_ints(s_value), "t": _python_ints(t_value)}
 
 _REGISTRY = {
     "a105774": lambda: SequenceOracle("a105774", a105774, a105774_table, _ladder_step()),
@@ -525,43 +511,11 @@ _REGISTRY = {
         "lucas_variant", lucas_variant, lucas_variant_table, _ladder_step(ladder=_LUCAS_LADDER)
     ),
     "count": lambda: SequenceOracle("count", count_c, count_c_table),
-    "p0": lambda: _pointwise(
-        "p0", partial(position_value, "p0"), partial(_positions_batch, "p0")
-    ),
-    "p1": lambda: _pointwise(
-        "p1", partial(position_value, "p1"), partial(_positions_batch, "p1")
-    ),
-    "p2": lambda: _pointwise(
-        "p2", partial(position_value, "p2"), partial(_positions_batch, "p2")
-    ),
-    "sorted": lambda: SequenceOracle(
-        "sorted", lambda m: int(sorted_values(m + 1)[m]), sorted_values
-    ),
-    "distinct": lambda: SequenceOracle(
-        "distinct", lambda m: int(distinct_transform(m + 1)[m]), distinct_transform
-    ),
-    "run_lengths": lambda: SequenceOracle(
-        "run_lengths", lambda m: int(run_lengths(m + 1)[m]), run_lengths
-    ),
-    "w": lambda: SequenceOracle("w", w, w_table),
-    "phi": lambda: _pointwise("phi", nu.floor_phi, partial(_beatty_batch, "phi")),
-    "phi2": lambda: _pointwise("phi2", nu.floor_phi2, partial(_beatty_batch, "phi2")),
-    "a007067": lambda: _pointwise("a007067", nu.floor_phi_half, partial(_beatty_batch, "a007067")),
-    "a004937": lambda: _pointwise(
-        "a004937", nu.floor_phi2_half, partial(_beatty_batch, "a004937")
-    ),
-    "a007064": lambda: _pointwise(
-        "a007064",
-        lambda m: m + 1 + nu.floor_phi(2 * m + 1) // 2,
-        partial(_beatty_batch, "a007064"),
-    ),
-    "a003623": lambda: _pointwise(
-        "a003623", lambda m: nu.floor_phi(nu.floor_phi2(m)), partial(_beatty_batch, "a003623")
-    ),
-    "x_comp": lambda: _pointwise("x_comp", _x_comp_scalar, _x_comp_batch),
-    "d_comp": lambda: _pointwise("d_comp", _d_comp_scalar, _d_comp_batch),
-    "s": lambda: _pointwise("s", s_value, _python_ints(s_value)),
-    "t": lambda: _pointwise("t", t_value, _python_ints(t_value)),
+    "sorted": lambda: SequenceOracle("sorted", None, sorted_values),
+    "distinct": lambda: SequenceOracle("distinct", None, distinct_transform),
+    "run_lengths": lambda: SequenceOracle("run_lengths", None, run_lengths),
+    "w": lambda: SequenceOracle("w", None, w_table),
+    **{name: partial(_pointwise, name, fn) for name, fn in _POINTWISE.items()},
 }
 
 ORACLE_NAMES = sorted(_REGISTRY)

@@ -215,14 +215,6 @@ class _SuffixData:
         self.first = [flags, flags]
         self.extend(words)
 
-    def copy(self) -> "_SuffixData":
-        """A copy that :meth:`extend` can grow without touching this one
-        (it assigns into the per-track lists)."""
-        other = copy.copy(self)
-        other.values, other.valid = list(self.values), list(self.valid)
-        other.first = list(self.first)
-        return other
-
     def extend(self, words) -> None:
         lens = np.array([len(w) for w in words], dtype=np.int64)
         width = max(int(lens.max(initial=0)), 1)
@@ -236,12 +228,16 @@ class _SuffixData:
         self.count += len(words)
         self.f2 = np.concatenate([self.f2, fibs[lens + 2]])
         self.f1 = np.concatenate([self.f1, fibs[lens + 1]])
+        # new lists, not assignments into the old ones: a shallow copy of
+        # this battery extends without touching it
+        values, valid, first = [], [], []
         for t, shift in enumerate((1, 0)):  # track 0 is the high bit
             bits = (sym >> shift) & 1
             adjacent = np.any(bits[:, 1:] & bits[:, :-1], axis=1)
-            self.values[t] = np.concatenate([self.values[t], bits @ fibs[width + 1:1:-1]])
-            self.valid[t] = np.concatenate([self.valid[t], ~adjacent])
-            self.first[t] = np.concatenate([self.first[t], ((lead >> shift) & 1) == 1])
+            values.append(np.concatenate([self.values[t], bits @ fibs[width + 1:1:-1]]))
+            valid.append(np.concatenate([self.valid[t], ~adjacent]))
+            first.append(np.concatenate([self.first[t], ((lead >> shift) & 1) == 1]))
+        self.values, self.valid, self.first = values, valid, first
 
 
 @cache
@@ -329,7 +325,7 @@ def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automat
 
     max_depth = len(nu.encode(max(n_samples, 2))) + 8
     words, battery = _battery(zero_run)
-    sfx, seen = battery.copy(), set(words)
+    sfx, seen = copy.copy(battery), set(words)
     batch = oracle.batch if getattr(oracle, "cheap_scalar", False) else None
     table_vals = None
     if batch is None:
@@ -341,9 +337,8 @@ def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automat
         src = _PairSource(sfx, table=table_vals, batch=batch)
         table = ObservationTable(src, _PAIR_MAX_STATES, max_depth)
         raw = table.hypothesis()
-        cand = au.zero_normalize(
-            au.minimize(au.intersect(raw, arith.valid_tracks(2)))
-        )
+        # raw's start loops on [0,0], so zero_normalize is one minimize
+        cand = au.zero_normalize(au.intersect(raw, arith.valid_tracks(2)))
         agreed = arith.accepts_number_pairs(cand, ns, want)
         if bool(agreed.all()):
             return cand

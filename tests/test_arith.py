@@ -419,11 +419,11 @@ def _first_beatty_miss(cat, n):
 def _a035487_members(limit):
     """Members of A035487 below `limit`: a007067 applied to the values of
     a007064, by the exact Beatty batches."""
-    vals = seqs._beatty_batch("a007067", seqs._beatty_batch("a007064", np.arange(limit)))
+    vals = seqs._BEATTY["a007067"](seqs._BEATTY["a007064"](np.arange(limit)))
     return np.unique(vals[vals < limit])
 
 
-# catalog name -> seqs._beatty_batch kind of its oracle
+# catalog name -> seqs._BEATTY kind of its oracle
 BEATTY_KINDS = {"phi2n": "phi2", "a007067": "a007067", "a007064": "a007064",
                 "a004937": "a004937", "a003623": "a003623"}
 
@@ -443,7 +443,7 @@ def test_beatty_check_names_the_first_wrong_n(catalog, monkeypatch, name):
         wrong = lambda aut: arith.accepts_number_pairs(aut, ns) != member
         message = "a035487 disagrees with its oracle at n={}"
     else:
-        want_vals = seqs._beatty_batch(BEATTY_KINDS[name], ns)
+        want_vals = seqs._BEATTY[BEATTY_KINDS[name]](ns)
         wrong = lambda aut: ~arith.accepts_number_pairs(aut, ns, want_vals)
         message = name + " disagrees with its oracle at n={}"
     misses = set()

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,6 +230,38 @@ def test_vectorized_floor_phi_sends_only_large_entries_to_the_scalar(monkeypatch
     assert got.tolist() == [nu.floor_phi(int(m)) for m in ms]
     with pytest.raises(ValueError):
         nu.vec_floor_phi(np.append(ms, -1))
+
+
+def test_vectorized_floor_phi_reads_narrow_integer_arrays_as_int64():
+    """5 m^2 wraps in int32 from m = 20725 and the square root repair
+    never ends, and unsigned arrays gave wrong floors; the check runs in
+    a child process with a time limit, so such a hang fails it."""
+    code = (
+        "import numpy as np\n"
+        "from fibdecide import numeration as nu\n"
+        "ms = [0, 1, 20724, 20725, 40000, 65535, 100000, nu._VEC_PHI_MAX, nu._VEC_PHI_MAX + 1,\n"
+        "      2**31 - 1, 2**32 - 1, 2**40]\n"
+        "for dt in (np.int32, np.uint16, np.uint32, np.uint64):\n"
+        "    m = np.array([v for v in ms if v <= np.iinfo(dt).max], dtype=dt)\n"
+        "    got = nu.vec_floor_phi(m)\n"
+        "    assert got.dtype == np.int64, dt\n"
+        "    assert got.tolist() == [nu.floor_phi(v) for v in m.tolist()], dt\n"
+        "print('ok')\n"
+    )
+    src = os.path.dirname(os.path.dirname(nu.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.split() == ["ok"], out.stderr
+
+
+def test_vectorized_floor_phi_rejects_non_integer_arrays():
+    with pytest.raises(TypeError, match="integer array, got dtype float64"):
+        nu.vec_floor_phi(np.array([3.0]))
+    with pytest.raises(ValueError):
+        nu.vec_floor_phi(np.array([5, -1], dtype=np.int32))
+    with pytest.raises(OverflowError, match="m >= 2\\*\\*63"):
+        nu.vec_floor_phi(np.array([5, 2**63 + 5], dtype=np.uint64))
 
 
 def test_roundtrip_full_range_vectorized():

@@ -73,8 +73,8 @@ def test_a105774_large_arguments_match_recursion():
 
 def test_compositions_do_not_depend_on_cache(monkeypatch):
     n = 5000
-    want_x = [int(v) for v in seqs._x_comp_batch(np.arange(n))[1:]]
-    want_d = [int(v) for v in seqs._d_comp_batch(np.arange(n))[1:]]
+    want_x = [int(v) for v in seqs._x_comp(np.arange(n))[1:]]
+    want_d = [int(v) for v in seqs._d_comp(np.arange(n))[1:]]
     monkeypatch.setattr(seqs, "_CACHE", {})
     assert [seqs.x_comp(m) for m in range(1, n)] == want_x
     assert [seqs.d_comp(m) for m in range(1, n)] == want_d
@@ -463,16 +463,16 @@ def test_batch_past_the_bound_keeps_a_bounded_table(monkeypatch):
 
 def test_compositions_read_their_tables_and_compose_past_them(monkeypatch):
     n = 5001
-    want_x = seqs._x_comp_batch(np.arange(n)).tolist()
-    want_d = seqs._d_comp_batch(np.arange(n)).tolist()
+    want_x = seqs._x_comp(np.arange(n)).tolist()
+    want_d = seqs._d_comp(np.arange(n)).tolist()
     # the scalar compositions, independent of the tables x_comp and d_comp
     # read, against the batch forms: a105774 cold, then warm
     monkeypatch.setattr(seqs, "_CACHE", {})
-    assert [seqs._x_comp_scalar(m) for m in range(n)] == want_x
-    assert [seqs._d_comp_scalar(m) for m in range(n)] == want_d
+    assert [seqs._x_comp(m) for m in range(n)] == want_x
+    assert [seqs._d_comp(m) for m in range(n)] == want_d
     seqs.oracle("a105774").table(10**5)
-    assert [seqs._x_comp_scalar(m) for m in range(n)] == want_x
-    assert [seqs._d_comp_scalar(m) for m in range(n)] == want_d
+    assert [seqs._x_comp(m) for m in range(n)] == want_x
+    assert [seqs._d_comp(m) for m in range(n)] == want_d
     monkeypatch.setattr(seqs, "_CACHE", {})
     assert [seqs.x_comp(m) for m in range(n)] == want_x
     assert [seqs.d_comp(m) for m in range(n)] == want_d
@@ -551,4 +551,22 @@ def test_value_past_the_index_range_takes_the_scalar():
     orc = seqs.oracle("phi")
     orc.table(100)
     assert orc.value(10**30) == nu.floor_phi(10**30)
-    assert seqs.oracle("x_comp").value(2**70) == seqs._x_comp_scalar(2**70)
+    assert seqs.oracle("x_comp").value(2**70) == seqs._x_comp(2**70)
+
+
+@pytest.mark.parametrize("name, table_fn", [
+    ("count", seqs.count_c_table),
+    ("sorted", seqs.sorted_values),
+    ("distinct", seqs.distinct_transform),
+    ("run_lengths", seqs.run_lengths),
+    ("w", seqs.w_table),
+])
+def test_table_scan_values_past_a_warm_table(monkeypatch, name, table_fn):
+    monkeypatch.setattr(seqs, "_CACHE", {})
+    orc = seqs.oracle(name)
+    orc.table(100)
+    want = table_fn(151).tolist()
+    got = [orc.value(n) for n in range(100, 151)]
+    assert got == want[100:]
+    assert {type(v) for v in got} == {int}
+    assert len(orc._table) == 100

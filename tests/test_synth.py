@@ -248,6 +248,24 @@ def test_one_repair_round_takes_many_disagreements(monkeypatch):
     assert au.equivalent(got, one)
 
 
+def test_each_candidate_takes_one_minimize_and_no_subset_construction(monkeypatch):
+    # the hypothesis' start loops on [0,0], so zero_normalize of its
+    # valid part is that part's minimize
+    arith.valid_tracks(2)
+    widths = _count_tables(monkeypatch)
+    calls = {"minimize": 0, "_subsets": 0}
+    for name in calls:
+        real = getattr(au, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(au, name, counted)
+    synth.guess_synchronized(seqs.oracle("a105774"), 4096)
+    assert widths and calls == {"minimize": len(widths), "_subsets": 0}
+
+
 def test_extended_suffixes_leave_the_cached_battery_alone(monkeypatch):
     widths = _count_tables(monkeypatch)
     synth.guess_synchronized(seqs.oracle("lucas_variant"), 4096)
