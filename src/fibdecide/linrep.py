@@ -9,14 +9,16 @@ on a word is L * M(w_1) * ... * M(w_t) * R.  Two uses here:
 * the closed-form compositional constant machinery, where the per-letter
   matrices realize a recursion over two function symbols.
 
-The zero test runs the row-space closure {L * M(w)} with exact rational
-row reduction; no floats anywhere, the whole point being zero versus tiny.
+The zero test closes the row space {L * M(w)} breadth first by fraction-free
+integer elimination (no floats: zero versus tiny) up to its first nonzero word.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 from . import automata as au
@@ -126,44 +128,51 @@ def subtract(a: LinRep, b: LinRep) -> LinRep:
     return LinRep(left, mats, right)
 
 
+def _exact(rows) -> list:
+    """The rows as Python ints times the lcm of all their denominators: numpy
+    integers through int(), Fractions exactly.  A nonzero scale keeps zeroness."""
+    ratios = [[getattr(x, "as_integer_ratio", lambda: (int(x), 1))() for x in r] for r in rows]
+    scale = lcm(*(q for r in ratios for _, q in r))
+    return [[p * (scale // q) for p, q in r] for r in ratios]
+
+
 def _reduce(vec, basis):
-    """Reduce against an echelon basis [(pivot_index, row)]; exact rationals."""
-    v = [Fraction(x) for x in vec]
+    """Reduce against an echelon basis [(pivot_index, row)], fraction-free:
+    v <- row[p] * v - v[p] * row, then divided by the gcd of its entries."""
     for pivot, row in basis:
-        if v[pivot]:
-            c = v[pivot] / row[pivot]
-            v = [a - c * b for a, b in zip(v, row)]
-    return v
+        if vec[pivot]:
+            c, p = vec[pivot], row[pivot]
+            vec = [p * a - c * b for a, b in zip(vec, row)]
+    g = gcd(*vec)
+    return [a // g for a in vec] if g > 1 else vec
 
 
 def _closure(lr: LinRep):
-    """Row-space closure of {L * M(w)}; yields (word, vector) basis entries."""
-    basis = []  # (pivot index, reduced row)
-    entries = []  # (word, original vector) aligned with basis order
-    queue = [("", [Fraction(x) for x in lr.left])]
+    """Breadth-first row-space closure of {L * M(w)} over Python ints; yields
+    each (word, L * M(word)) basis entry as soon as it is found."""
+    basis, queue = [], deque([("", list(lr.left))])
     while queue:
-        word, vec = queue.pop(0)
+        word, vec = queue.popleft()
         red = _reduce(vec, basis)
         pivot = next((i for i, x in enumerate(red) if x), None)
         if pivot is None:
             continue
         basis.append((pivot, red))
-        entries.append((word, vec))
+        yield word, vec
         for letter in lr.alphabet:
             queue.append((word + str(letter), lr.step(vec, letter)))
-    return entries
 
 
 def zero_witness(lr: LinRep):
-    """A word with nonzero value, or None when the representation is zero.
-
-    The reachable row space is spanned by at most dim vectors; the value on
-    any word is a combination of basis values, so checking basis * R = 0
-    decides zero-equivalence.
-    """
+    """A shortest word with nonzero value, or None when the representation is zero:
+    the basis words up to each length span the rows of all words up to it, so
+    the first nonzero basis word (breadth first) is a shortest nonzero word."""
+    nonzero = (c for rows in lr._sparse.values() for row in rows for _, c in row)
+    if not all(type(x) is int for x in chain(lr.left, lr.right, nonzero)):
+        (left,), (right,) = _exact([lr.left]), _exact([lr.right])
+        lr = LinRep(left, {letter: _exact(m) for letter, m in lr.mats.items()}, right)
     for word, vec in _closure(lr):
-        val = sum(v * r for v, r in zip(vec, lr.right))
-        if val:
+        if sum(map(mul, vec, lr.right)):
             return word
     return None
 

@@ -32,6 +32,7 @@ __all__ = [
     "floor_phi2",
     "floor_phi_half",
     "floor_phi2_half",
+    "vec_floor_phi",
 ]
 
 _FIB = [0, 1]

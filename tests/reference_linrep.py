@@ -1,5 +1,8 @@
-"""The recursive Carlitz constant that `linrep.carlitz_C` replaced, kept as
-a differential reference.  Not used by the package."""
+"""The recursive Carlitz constant that `linrep.carlitz_C` replaced and the
+rational zero test that `linrep.zero_witness` replaced, kept as
+differential references.  Not used by the package."""
+
+from fractions import Fraction
 
 from fibdecide import numeration as nu
 
@@ -19,3 +22,43 @@ def carlitz_C(u: str) -> int:
     if last == "b":
         return nu.fib(i + 2 * j - 1) + carlitz_C(v)
     return nu.fib(i + 2 * j - 1) - carlitz_C(v)
+
+
+# The rational zero test that the fraction-free one in `linrep` replaced:
+# it builds the whole row-space closure before it reads a single value.
+
+
+def _reduce(vec, basis):
+    """Reduce against an echelon basis [(pivot_index, row)]; exact rationals."""
+    v = [Fraction(x) for x in vec]
+    for pivot, row in basis:
+        if v[pivot]:
+            c = v[pivot] / row[pivot]
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def _closure(lr):
+    """Row-space closure of {L * M(w)}; yields (word, vector) basis entries."""
+    basis = []  # (pivot index, reduced row)
+    entries = []  # (word, original vector) aligned with basis order
+    queue = [("", [Fraction(x) for x in lr.left])]
+    while queue:
+        word, vec = queue.pop(0)
+        red = _reduce(vec, basis)
+        pivot = next((i for i, x in enumerate(red) if x), None)
+        if pivot is None:
+            continue
+        basis.append((pivot, red))
+        entries.append((word, vec))
+        for letter in lr.alphabet:
+            queue.append((word + str(letter), lr.step(vec, letter)))
+    return entries
+
+
+def zero_witness(lr):
+    """The first basis word with a nonzero value, or None."""
+    for word, vec in _closure(lr):
+        if sum(v * r for v, r in zip(vec, lr.right)):
+            return word
+    return None

@@ -25,6 +25,11 @@ def sorted_rel(catalog):
     return synth.guess_synchronized(seqs.oracle("sorted"), 16384)
 
 
+@pytest.fixture(scope="module")
+def dist_rel(catalog):
+    return synth.guess_synchronized(seqs.oracle("distinct"), 16384)
+
+
 def test_carlitz_base_cases():
     assert linrep.carlitz_C("b") == 0
     assert linrep.carlitz_C("d") == 1
@@ -122,8 +127,7 @@ def test_check_permutation_requires_function(a_rel, catalog):
         linrep.check_permutation(a_rel, not_function, catalog)
 
 
-def test_check_distinct_transform(a_rel, catalog):
-    dist_rel = synth.guess_synchronized(seqs.oracle("distinct"), 16384)
+def test_check_distinct_transform(a_rel, dist_rel, catalog):
     ok, failed = linrep.check_distinct_transform(a_rel, dist_rel, catalog)
     assert ok, failed
     ok_eq, _ = linrep.check_distinct_transform(arith.eq(), arith.eq(), catalog)
@@ -133,15 +137,32 @@ def test_check_distinct_transform(a_rel, catalog):
     assert not bad and failed == ["distinct_range"]
 
 
+def _mutant_difference(rel, q, s, target):
+    """Counting difference of rel against rel with transition (q, s) sent to target."""
+    delta = np.array(rel.delta)
+    delta[q, s] = target
+    mutated = au.Automaton(rel.arity, delta, rel.outputs, rel.initial)
+    return linrep.subtract(linrep.counting_linrep(rel), linrep.counting_linrep(mutated))
+
+
+def _pinned_mutant(a_rel):
+    return _mutant_difference(a_rel, 1, 3, (a_rel.delta[1, 3] + 1) % a_rel.n_states)
+
+
 def test_mutation_makes_nonzero(a_rel):
-    delta = np.array(a_rel.delta)
-    delta[1, 3] = (delta[1, 3] + 1) % a_rel.n_states
-    mutated = au.Automaton(2, delta, a_rel.outputs, a_rel.initial)
-    diff = linrep.subtract(
-        linrep.counting_linrep(a_rel), linrep.counting_linrep(mutated)
-    )
+    diff = _pinned_mutant(a_rel)
     # the first nonzero word of the breadth-first closure, pinned
     assert linrep.zero_witness(diff) == "11"
+
+
+def test_zero_witness_stops_at_the_first_nonzero_word(a_rel, monkeypatch):
+    diff = _pinned_mutant(a_rel)
+    calls = []
+    reduce = linrep._reduce
+    monkeypatch.setattr(linrep, "_reduce", lambda vec, basis: calls.append(1) or reduce(vec, basis))
+    assert linrep.zero_witness(diff) == "11"
+    # the full closure of this difference reduces 31 rows; its witness needs 7
+    assert len(calls) <= 8, len(calls)
 
 
 def _dense_evaluate(lr, word):
@@ -286,3 +307,63 @@ def test_counting_equals_brute_membership(a_rel):
     np.add.at(counts, np.array(ns)[got], 1)
     for n in range(limit):
         assert linrep.evaluate(lr, [0, 0] + linrep.count_word(n)) == counts[n]
+
+
+def _letters(word):
+    return [int(c) for c in word]
+
+
+def _assert_shortest_witness(lr, witness, none_bound=8):
+    """witness is nonzero and every shorter word is zero; with no witness,
+    every word up to none_bound letters is zero."""
+    if witness is not None:
+        assert linrep.evaluate(lr, _letters(witness)) != 0, witness
+    bound = none_bound if witness is None else len(witness) - 1
+    for word in _words_up_to(bound):
+        assert linrep.evaluate(lr, word) == 0, (witness, word)
+
+
+def test_zero_witness_matches_the_rational_reference(a_rel, sorted_rel, dist_rel):
+    cases = _random_linreps()
+    count_a = linrep.counting_linrep(a_rel)
+    for other in (sorted_rel, dist_rel, a_rel):
+        cases.append(linrep.subtract(count_a, linrep.counting_linrep(other)))
+    rng = random.Random(44)
+    n, symbols = a_rel.n_states, 1 << a_rel.arity
+    for _ in range(50):
+        q, s = rng.randrange(n), rng.randrange(symbols)
+        cases.append(_mutant_difference(
+            a_rel, q, s, (a_rel.delta[q, s] + rng.randrange(1, n)) % n))
+    verdicts = set()
+    for lr in cases:
+        witness = linrep.zero_witness(lr)
+        assert witness == reference_linrep.zero_witness(lr), lr.dim
+        _assert_shortest_witness(lr, witness)
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+def test_zero_test_reads_numpy_and_fraction_entries_exactly(a_rel, sorted_rel):
+    count_a = linrep.counting_linrep(a_rel)
+    plain = [_pinned_mutant(a_rel),
+             linrep.subtract(count_a, linrep.counting_linrep(sorted_rel))]
+    plain += _random_linreps()[:9]
+    big = 2**40 + 1
+    for lr in plain:
+        want = linrep.zero_witness(lr)
+        # numpy int64 entries whose fraction-free products pass 2**63
+        wide = {a: np.array(m, dtype=np.int64) * big for a, m in lr.mats.items()}
+        twin = linrep.LinRep(lr.left, {a: tuple(tuple(map(int, row)) for row in m)
+                                       for a, m in wide.items()}, lr.right)
+        as_numpy = linrep.LinRep(np.array(lr.left, dtype=np.int64), wide,
+                                 np.array(lr.right, dtype=np.int64))
+        assert linrep.zero_witness(twin) == linrep.zero_witness(as_numpy) == want
+        if lr is plain[0]:
+            assert abs(linrep.evaluate(twin, _letters(want))) > 2**63
+        # Fractions in L, R and the matrix of letter 0; the lcms give lr back
+        zero_sixths = tuple(tuple(Fraction(c, 6) for c in row) for row in lr.mats[0])
+        fractions = linrep.LinRep(tuple(Fraction(x, 3) for x in lr.left),
+                                  {**lr.mats, 0: zero_sixths},
+                                  tuple(Fraction(x, 7) for x in lr.right))
+        assert linrep.zero_witness(fractions) == want
+        assert reference_linrep.zero_witness(fractions) == want
