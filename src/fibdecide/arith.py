@@ -188,9 +188,11 @@ def add() -> Automaton:
 def _certify_add(cand: Automaton) -> None:
     from . import synth
 
-    failed = synth.query_certificate("", _ADD_CERT, _ADD_SUCC)(cand, {}).failures
+    certificate = synth.query_certificate("", _ADD_CERT, _ADD_SUCC)
+    failed = synth.run_certificates(cand, [certificate], {}).failures
     if failed:
-        raise CatalogError(f"add certificate fails {failed[0]}: {dict(_ADD_CERT)[failed[0]]}")
+        formula = dict(_ADD_CERT).get(failed[0])
+        raise CatalogError(f"add certificate fails {failed[0]}{f': {formula}' if formula else ''}")
 
 
 # -- batch verification helpers --------------------------------------------
@@ -331,10 +333,11 @@ def admit(name: str, aut: Automaton, certificates, catalog: dict, oracle,
           bound: int) -> Automaton:
     """Return aut once every certificate holds over catalog and aut agrees
     with oracle below bound (:func:`_first_miss`); else raise CatalogError."""
-    for cert in certificates:
-        failed = cert(aut, catalog).failures
-        if failed:
-            raise CatalogError(f"{name} certificate fails {failed[0]}")
+    from . import synth
+
+    failed = synth.run_certificates(aut, certificates, catalog).failures
+    if failed:
+        raise CatalogError(f"{name} certificate fails {failed[0]}")
     bad = _first_miss(aut, bound, oracle)
     if bad is not None:
         raise CatalogError(f"{name} disagrees with its oracle at n={bad}")

@@ -34,6 +34,7 @@ import operator
 import random
 import re
 from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -706,34 +707,29 @@ def sample_language(a: Automaton, limit: int) -> list[str]:
     """First `limit` accepted words of length at most 64, in (length, symbol) order.
 
     Words come back as digit strings for arity 1 and bracketed tuple text
-    otherwise (empty word: '').
+    otherwise (empty word: '').  Each length is read depth first, in symbol
+    order, only through states that can still finish in time, so the cost
+    grows with the length and the number of words asked for.
     """
     _require_boolean(a)
-    # prune prefixes that cannot reach acceptance
-    useful = _coreachable(a.delta, a.outputs == 1)
+    ends = [a.outputs == 1]  # ends[r]: the states that accept a word of length r
+
+    def words(state, r):
+        """The words of length r that take state to acceptance, in symbol order."""
+        if not r:
+            return [[]]
+        row = a.delta[state]
+        live = np.flatnonzero(ends[r - 1][row]).tolist()
+        return ([s] + w for s in live for w in words(int(row[s]), r - 1))
+
     out: list[list] = []
-    if not useful[a.initial]:
-        return []
-    frontier = [(a.initial, [])]
-    if a.outputs[a.initial] == 1:
-        out.append([])
-    depth = 0
-    while frontier and len(out) < limit and depth < 64:
-        depth += 1
-        nxt = []
-        for state, word in frontier:
-            for s in range(a.n_symbols):
-                t = int(a.delta[state, s])
-                if not useful[t]:
-                    continue
-                w2 = word + [s]
-                if a.outputs[t] == 1 and len(out) < limit:
-                    out.append(w2)
-                nxt.append((t, w2))
-        frontier = nxt
+    while len(out) < limit and len(ends) <= 65:
+        if ends[-1][a.initial]:
+            out += islice(words(a.initial, len(ends) - 1), limit - len(out))
+        ends.append(ends[-1][a.delta].any(axis=1))
     if a.arity == 1:
-        return ["".join(map(str, w)) for w in out[:limit]]
-    return [_word_text(w, a.arity) for w in out[:limit]]
+        return ["".join(map(str, w)) for w in out]
+    return [_word_text(w, a.arity) for w in out]
 
 
 def _word_text(symbols, arity) -> str:
@@ -977,6 +973,10 @@ def deserialize(text: str) -> Automaton:
         raise AutomatonError(f"arity {arity} or states {n} out of range")
     if accepting is not None and not all(0 <= q < n for q in accepting[1]):
         raise AutomatonError(f"line {accepting[0]}: accepting state out of range")
+    # checked before the table is allocated; since no transition repeats,
+    # the trans lines then fill every cell
+    if n << arity > len(trans):
+        raise AutomatonError(f"{n} states need {n << arity} trans lines, found {len(trans)}")
     delta = np.full((n, 1 << arity), -1, dtype=np.int32)
     for q, symtext, t, lineno in trans:
         if not (0 <= q < n and 0 <= t < n):
@@ -990,9 +990,6 @@ def deserialize(text: str) -> Automaton:
         if delta[q, syms[0]] >= 0:
             raise AutomatonError(f"line {lineno}: second transition for state {q} on {symtext}")
         delta[q, syms[0]] = t
-    if (delta < 0).any():
-        q, s = np.argwhere(delta < 0)[0]
-        raise AutomatonError(f"missing transition for state {q} symbol index {s}")
     if accepting is not None:
         outs = np.array([1 if q in accepting[1] else 0 for q in range(n)], dtype=np.int32)
     else:

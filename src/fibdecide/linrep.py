@@ -239,9 +239,9 @@ def check_permutation(rel_a: Automaton, rel_b: Automaton, catalog) -> bool:
     """
     from . import synth
 
-    certificate = synth.function_certificate("fn")
+    certificate = [synth.function_certificate("fn")]
     for name, rel in (("first", rel_a), ("second", rel_b)):
-        if not certificate(rel, catalog).ok:
+        if not synth.run_certificates(rel, certificate, catalog):
             raise ValueError(f"{name} relation is not a certified function")
     diff = subtract(counting_linrep(rel_a), counting_linrep(rel_b))
     return is_zero(diff)
@@ -263,7 +263,7 @@ def check_distinct_transform(rel_s: Automaton, rel_sp: Automaton, catalog):
         ("order", "Ax,y,i,j ($first_occ_s(x,i) & $first_occ_s(y,j) & i<j)"
                   " => Em,n $cand(m,x) & $cand(n,y) & m<n"),
     ], 'def first_occ_s "$srel(y,n) & Ax (x<y) => ~$srel(x,n)":')
-    failed = certificate(rel_sp, dict(catalog, srel=rel_s)).failures
+    failed = synth.run_certificates(rel_sp, [certificate], dict(catalog, srel=rel_s)).failures
     return (not failed, failed)
 
 

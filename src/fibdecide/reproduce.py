@@ -358,8 +358,8 @@ class Reproduction:
         if rep is None:
             # loaded from store: re-run the job's certificates now
             rel = self.relations["a105774"]
-            ok = all(cert(rel, self.catalog).ok for cert in self.certificates["a105774"])
-            return ok, "certificates re-run from store"
+            verdict = synth.run_certificates(rel, self.certificates["a105774"], self.catalog)
+            return verdict.ok, "certificates re-run from store"
         return rep.verdict == "CERTIFIED", f"samples={rep.samples_used}"
 
     def _c1_oracle(self):

@@ -42,6 +42,7 @@ __all__ = [
     "function_certificate",
     "query_certificate",
     "recurrence_certificate",
+    "run_certificates",
     "synthesize_certified",
     "DEFAULT_SCHEDULE",
 ]
@@ -450,6 +451,21 @@ def recurrence_certificate(kind: str, x: int = 1, y: int = 1):
     )
 
 
+def run_certificates(aut: Automaton, certificates, catalog) -> Verdict:
+    """The checks of each certificate on aut over catalog, in order, up to
+    the first FALSE one.  A query past SUBSET_LIMIT is the FALSE check
+    engine_limit: evidence of a junk candidate, not of the property."""
+    verdict = Verdict()
+    for cert in certificates:
+        try:
+            verdict.checks += cert(aut, catalog).checks
+        except au.DeterminizationLimit:
+            verdict.checks.append(("engine_limit", False))
+        if not verdict:
+            break
+    return verdict
+
+
 def synthesize_certified(
     oracle,
     certificates,
@@ -459,35 +475,16 @@ def synthesize_certified(
 ) -> SynthesisReport:
     """Loop guess -> certify over an escalating sample schedule."""
     oracle_name = getattr(oracle, "name", "?")
-    last_checks = []
-    last_detail = ""
-    last_n = 0
+    checks, detail, n = [], "", 0
     for i, n in enumerate(schedule):
-        last_n = n
         try:
             # widen the distinguishing battery along with the data
             candidate = guess_synchronized(oracle, n, zero_run=16 + 4 * i)
         except SynthesisError as exc:
-            last_detail = f"learning failed at {n} samples: {exc}"
-            last_checks = []
+            checks, detail = [], f"learning failed at {n} samples: {exc}"
             continue
-        checks = []
-        ok = True
-        for cert in certificates:
-            try:
-                verdict = cert(candidate, catalog)
-            except au.DeterminizationLimit as exc:
-                # a blown-up query is evidence of a junk candidate, not of
-                # the property: treat as a failed check and escalate
-                verdict = Verdict([("engine_limit", False)])
-                last_detail = str(exc)
-            checks.extend(verdict.checks)
-            if not verdict.ok:
-                ok = False
-                break
-        if ok:
-            return SynthesisReport(oracle_name, candidate, n, "CERTIFIED", checks)
-        last_checks = checks
-        failed = [name for name, good in checks if not good]
-        last_detail = f"failed: {', '.join(failed)}"
-    return SynthesisReport(oracle_name, None, last_n, "EXHAUSTED", last_checks, last_detail)
+        verdict = run_certificates(candidate, certificates, catalog)
+        if verdict:
+            return SynthesisReport(oracle_name, candidate, n, "CERTIFIED", verdict.checks)
+        checks, detail = verdict.checks, f"failed: {', '.join(verdict.failures)}"
+    return SynthesisReport(oracle_name, None, n, "EXHAUSTED", checks, detail)

@@ -227,6 +227,46 @@ def test_sample_language_matches_scan():
     assert decoded == scan[:8]
 
 
+def _brute_language(a, max_len, limit):
+    """The first `limit` accepted words of up to max_len symbols in (length,
+    symbol) order, found by running every word; each is a list of symbols."""
+    rows, accepting = a.delta.tolist(), set(np.flatnonzero(a.outputs == 1).tolist())
+    level = [(a.initial, [])]
+    out = [w for q, w in level if q in accepting]
+    for _ in range(max_len):
+        level = [(t, w + [s]) for q, w in level for s, t in enumerate(rows[q])]
+        out += [w for q, w in level if q in accepting]
+        if len(out) >= limit:
+            break
+    return out[:limit]
+
+
+def test_sample_language_matches_brute_force():
+    """Seeded DFAs of arity 1 and 2: the first words sample_language returns
+    are those of a run over every word up to 7 symbols, for limits 1-5."""
+    rng = np.random.default_rng(20240901)
+    for _ in range(200):
+        arity, n = int(rng.integers(1, 3)), int(rng.integers(1, 7))
+        delta = rng.integers(0, n, size=(n, 1 << arity)).astype(np.int32)
+        outputs = (rng.random(n) < rng.choice([0.1, 0.3, 0.6])).astype(np.int32)
+        a = au.Automaton(arity, delta, outputs, 0)
+        words = _brute_language(a, 7, 5)
+        text = ["".join(map(str, w)) if arity == 1 else au._word_text(w, arity) for w in words]
+        for limit in range(1, 6):
+            got = au.sample_language(a, limit)
+            assert got[: len(text)] == text[:limit]
+
+
+def test_combine_overlap_past_a_billion_is_found_at_once():
+    """The shortest overlap of two parts n>=10**9 has 44 symbols; its witness
+    is the first such word, 10**9 itself."""
+    session = logic.Session({})
+    script = 'def p "n>=1000000000":\ndef q "n>=1000000000":\ncombine C p=1 q=2:'
+    with pytest.raises(au.AutomatonError, match="combine parts overlap; witness: ") as info:
+        session.run_script(script)
+    assert nu.decode(str(info.value).rsplit(" ", 1)[1]) == 10**9
+
+
 def test_serialize_roundtrip():
     add = arith.add()
     text = au.serialize(add)

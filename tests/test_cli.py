@@ -1,8 +1,10 @@
+import functools
 import io
 from pathlib import Path
 
 import pytest
 
+from fibdecide import arith
 from fibdecide import automata as au
 from fibdecide import cli
 from fibdecide import synth
@@ -129,6 +131,21 @@ def test_oracle_table_negative_count_is_a_usage_error(warm_store, capsys):
     assert out.out == "" and out.err == "error: count must be at least 0, got -5\n"
 
 
+def test_store_file_with_a_huge_states_line_is_unreadable(tmp_path, capsys):
+    """A states line the trans lines cannot fill is an error naming the file,
+    raised before the transition table is allocated."""
+    store = cli.Store(tmp_path / "s")
+    store.root.mkdir()
+    store.path("big").write_text(
+        "fibaut 1\narity 1\nstates 1000000000000\ntrans 0 [0] 0\ntrans 0 [1] 0\n")
+    with pytest.raises(au.AutomatonError, match="need 2000000000000 trans lines, found 2"):
+        store.load("big")
+    assert run_cli(["export-dot", "big", str(tmp_path / "big.dot")], store.root) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {store.path('big')}: ") and "--rebuild" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_export_dot(tmp_path, warm_store, capsys):
     out = tmp_path / "eq.dot"
     code = run_cli(["export-dot", "eq", str(out)], warm_store)
@@ -163,6 +180,20 @@ def test_failed_certification_is_one_error_line(tmp_path, catalog, capsys, monke
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: a105774 failed certification: failed: fn_total\n"
+
+
+def test_engine_limit_in_a_catalog_certificate_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    """A certificate query past SUBSET_LIMIT while the catalog is built fails
+    the certification: exit 1 and one error: line, not a usage error."""
+    # an empty cache, so that add's certificate runs under the lowered limit
+    monkeypatch.setattr(arith, "add", functools.lru_cache(arith.add.__wrapped__))
+    monkeypatch.setattr(au, "SUBSET_LIMIT", 40)
+    script = tmp_path / "ok.txt"
+    script.write_text('eval t "?msd_fib Ax x=x":\n')
+    assert run_cli(["run", str(script)], tmp_path / "s") == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: add certificate fails engine_limit\n"
 
 
 def test_repl_basic(warm_store, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 import reference_synth
 from fibdecide import arith
 from fibdecide import automata as au
+from fibdecide import linrep
 from fibdecide import logic
 from fibdecide import seqs
 from fibdecide import synth
@@ -100,6 +101,66 @@ def test_synthesize_exhaustion_on_hard_case(catalog, monkeypatch):
     )
     assert report.verdict == "EXHAUSTED"
     assert report.detail
+
+
+# -- the engine-limit rule: a query past SUBSET_LIMIT is a failed check ------
+
+
+def _true_stub(aut, catalog):
+    return synth.Verdict([("stub", True)])
+
+
+def _limit_stub(aut, catalog):
+    raise au.DeterminizationLimit("determinization exceeded 3 states")
+
+
+def _unreached_stub(aut, catalog):
+    raise AssertionError("a certificate ran after a FALSE check")
+
+
+# one TRUE check, then a query past the limit, then a certificate never run
+_LIMITED = [_true_stub, _limit_stub, _unreached_stub]
+
+
+def test_run_certificates_ends_at_an_engine_limit():
+    verdict = synth.run_certificates(arith.eq(), _LIMITED, {})
+    assert verdict.checks == [("stub", True), ("engine_limit", False)]
+    assert verdict.failures == ["engine_limit"]
+
+
+def test_admit_fails_at_an_engine_limit():
+    with pytest.raises(arith.CatalogError, match="^eq certificate fails engine_limit$"):
+        arith.admit("eq", arith.eq(), _LIMITED, {}, None, 0)
+
+
+def test_add_certification_fails_at_an_engine_limit(monkeypatch):
+    """No formula names engine_limit, so the message ends at the check."""
+    monkeypatch.setattr(synth, "query_certificate", lambda *args: _limit_stub)
+    with pytest.raises(arith.CatalogError, match="^add certificate fails engine_limit$"):
+        arith._certify_add(arith.linear((1, 1, -1)))
+
+
+def test_check_permutation_fails_at_an_engine_limit(monkeypatch):
+    monkeypatch.setattr(synth, "function_certificate", lambda label: _limit_stub)
+    with pytest.raises(ValueError, match="^first relation is not a certified function$"):
+        linrep.check_permutation(arith.eq(), arith.eq(), {})
+
+
+class _Identity:
+    """A nameless table-only oracle of f(n) = n."""
+
+    cheap_scalar = False
+
+    def table(self, n):
+        return np.arange(n)
+
+
+def test_synthesize_certified_exhausts_at_an_engine_limit(catalog):
+    report = synth.synthesize_certified(_Identity(), _LIMITED, schedule=(256, 512),
+                                        catalog=catalog)
+    assert (report.verdict, report.candidate, report.samples_used) == ("EXHAUSTED", None, 512)
+    assert report.checks == [("stub", True), ("engine_limit", False)]
+    assert report.detail == "failed: engine_limit"
 
 
 def test_learner_roundtrip_property(catalog):
@@ -295,14 +356,8 @@ def test_suffix_data_matches_bitwise_reference():
 
 
 def test_synthesize_certified_nameless_oracle(catalog):
-    class Identity:
-        cheap_scalar = False
-
-        def table(self, n):
-            return np.arange(n)
-
     report = synth.synthesize_certified(
-        Identity(), [synth.function_certificate("fn")],
+        _Identity(), [synth.function_certificate("fn")],
         schedule=(256,), catalog=catalog,
     )
     assert report.verdict == "CERTIFIED"
