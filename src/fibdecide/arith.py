@@ -147,7 +147,7 @@ def linear(coeffs: tuple, k: int = 0, op: str = "=") -> Automaton:
         n, np.array(rows, dtype=np.int32), np.array(outputs, dtype=np.int32), 2,
         zero_normalized=True,
     )
-    return au.minimize(au.intersect(base, valid_tracks(n)))
+    return au.minimize(au.intersect(au.minimize(base), valid_tracks(n)))
 
 
 def eq() -> Automaton:
@@ -189,10 +189,11 @@ def _certify_add(cand: Automaton) -> None:
     from . import synth
 
     certificate = synth.query_certificate("", _ADD_CERT, _ADD_SUCC)
-    failed = synth.run_certificates(cand, [certificate], {}).failures
-    if failed:
-        formula = dict(_ADD_CERT).get(failed[0])
-        raise CatalogError(f"add certificate fails {failed[0]}{f': {formula}' if formula else ''}")
+    verdict = synth.run_certificates(cand, [certificate], {})
+    if not verdict:
+        formula = dict(_ADD_CERT).get(verdict.failures[0])
+        failure = f"{verdict.failure}: {formula}" if formula else verdict.failure
+        raise CatalogError(f"add certificate fails {failure}")
 
 
 # -- batch verification helpers --------------------------------------------
@@ -335,9 +336,9 @@ def admit(name: str, aut: Automaton, certificates, catalog: dict, oracle,
     with oracle below bound (:func:`_first_miss`); else raise CatalogError."""
     from . import synth
 
-    failed = synth.run_certificates(aut, certificates, catalog).failures
-    if failed:
-        raise CatalogError(f"{name} certificate fails {failed[0]}")
+    verdict = synth.run_certificates(aut, certificates, catalog)
+    if not verdict:
+        raise CatalogError(f"{name} certificate fails {verdict.failure}")
     bad = _first_miss(aut, bound, oracle)
     if bad is not None:
         raise CatalogError(f"{name} disagrees with its oracle at n={bad}")

@@ -704,12 +704,15 @@ def combine(parts, domain: Automaton) -> Automaton:
 
 
 def sample_language(a: Automaton, limit: int) -> list[str]:
-    """First `limit` accepted words of length at most 64, in (length, symbol) order.
+    """First `limit` accepted words of fewer than max(65, states) symbols,
+    in (length, symbol) order.
 
-    Words come back as digit strings for arity 1 and bracketed tuple text
-    otherwise (empty word: '').  Each length is read depth first, in symbol
-    order, only through states that can still finish in time, so the cost
-    grows with the length and the number of words asked for.
+    A shortest accepted word has fewer symbols than the automaton has
+    states, so a nonempty language always yields a word.  Words come back
+    as digit strings for arity 1 and bracketed tuple text otherwise (empty
+    word: '').  Each length is read depth first, in symbol order, only
+    through states that can still finish in time, so the cost grows with
+    the length and the number of words asked for.
     """
     _require_boolean(a)
     ends = [a.outputs == 1]  # ends[r]: the states that accept a word of length r
@@ -723,7 +726,7 @@ def sample_language(a: Automaton, limit: int) -> list[str]:
         return ([s] + w for s in live for w in words(int(row[s]), r - 1))
 
     out: list[list] = []
-    while len(out) < limit and len(ends) <= 65:
+    while len(out) < limit and len(ends) <= max(65, a.n_states) and ends[-1].any():
         if ends[-1][a.initial]:
             out += islice(words(a.initial, len(ends) - 1), limit - len(out))
         ends.append(ends[-1][a.delta].any(axis=1))

@@ -241,8 +241,11 @@ def check_permutation(rel_a: Automaton, rel_b: Automaton, catalog) -> bool:
 
     certificate = [synth.function_certificate("fn")]
     for name, rel in (("first", rel_a), ("second", rel_b)):
-        if not synth.run_certificates(rel, certificate, catalog):
-            raise ValueError(f"{name} relation is not a certified function")
+        verdict = synth.run_certificates(rel, certificate, catalog)
+        if not verdict:
+            raise ValueError(
+                f"{name} relation is not a certified function: fails {verdict.failure}"
+            )
     diff = subtract(counting_linrep(rel_a), counting_linrep(rel_b))
     return is_zero(diff)
 

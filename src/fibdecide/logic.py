@@ -215,48 +215,24 @@ class _Parser:
             raise ParseError(f"expected {text!r}, got {_shown(tok)!r}", tok.line, tok.col)
         return self.next()
 
-    # formula := iff-chain; quantifiers scope as far right as they can
-    def formula(self) -> Formula:
-        node = self.implication()
-        while self.peek().text == "<=>":
-            self.next()
-            node = BoolOp("<=>", node, self.implication())
-        return node
-
-    def implication(self) -> Formula:
-        node = self.disjunction()
-        if self.peek().text == "=>":
-            self.next()
-            return BoolOp("=>", node, self.implication())
-        return node
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek().text == "|":
-            self.next()
-            node = BoolOp("|", node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
-        node = self.unary()
-        while self.peek().text == "&":
-            self.next()
-            node = BoolOp("&", node, self.unary())
-        return node
-
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.text == "~":
             self.next()
             return Not(self.unary())
         if tok.kind == "quant":
+            # a quantifier scopes as far right as it can
             self.next()
-            names = [self._var_name()]
-            while self.peek().text == ",":
-                self.next()
-                names.append(self._var_name())
-            return Quant(tok.text, tuple(names), self.formula())
+            names = self._comma_list(self._var_name)
+            return Quant(tok.text, names, self.binary(self.FORMULA))
         return self.primary()
+
+    def _comma_list(self, item, *args) -> tuple:
+        items = [item(*args)]
+        while self.peek().text == ",":
+            self.next()
+            items.append(item(*args))
+        return tuple(items)
 
     def _var_name(self) -> str:
         tok = self.next()
@@ -280,7 +256,7 @@ class _Parser:
             except ParseError:
                 self.i = mark
             self.next()
-            node = self.formula()
+            node = self.binary(self.FORMULA)
             self.expect(")")
             return node
         return self._comparison()
@@ -289,17 +265,14 @@ class _Parser:
         tok = self.next()
         name = tok.text[1:]
         self.expect("(")
-        args = [self.term()]
-        while self.peek().text == ",":
-            self.next()
-            args.append(self.term())
+        args = self._comma_list(self.binary, self.TERM)
         self.expect(")")
-        return Apply(name, tuple(args))
+        return Apply(name, args)
 
     def _dfao_test(self) -> Formula:
         tok = self.next()
         self.expect("[")
-        arg = self.term()
+        arg = self.binary(self.TERM)
         self.expect("]")
         op = self.next()
         if op.text not in ("=", "!="):
@@ -313,28 +286,14 @@ class _Parser:
     _RELOPS = ("=", "!=", "<", "<=", ">", ">=")
 
     def _comparison(self) -> Formula:
-        left = self.term()
+        left = self.binary(self.TERM)
         tok = self.peek()
         if tok.text not in self._RELOPS:
             got = _shown(tok)
             raise ParseError(f"expected a comparison operator, got {got!r}", tok.line, tok.col)
         self.next()
-        right = self.term()
+        right = self.binary(self.TERM)
         return Compare(tok.text, left, right)
-
-    def term(self) -> Term:
-        node = self.factor()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            node = BinTerm(op, node, self.factor())
-        return node
-
-    def factor(self) -> Term:
-        node = self.term_atom()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            node = BinTerm(op, node, self.term_atom())
-        return node
 
     def term_atom(self) -> Term:
         tok = self.peek()
@@ -354,17 +313,36 @@ class _Parser:
             return Var(tok.text)
         if tok.text == "(":
             self.next()
-            node = self.term()
+            node = self.binary(self.TERM)
             self.expect(")")
             return node
         raise ParseError(f"unexpected {tok.text!r} in term", tok.line, tok.col)
+
+    # Binary operators as (node built, operand parser, level of each
+    # operator, loosest 0): connectives join unary formulas, and term
+    # operators join term atoms.
+    FORMULA = (BoolOp, unary, {"<=>": 0, "=>": 1, "|": 2, "&": 3})
+    TERM = (BinTerm, term_atom, {"+": 0, "-": 0, "*": 1, "/": 1})
+
+    def binary(self, grammar, min_level=0):
+        """The longest chain of operands joined by grammar's operators of
+        min_level or above.  An operator's right operand binds tighter
+        than it, except `=>`'s, so `=>` groups to the right and every
+        other operator to the left."""
+        node, operand, levels = grammar
+        left = operand(self)
+        while levels.get(self.peek().text, -1) >= min_level:
+            op = self.next().text
+            right = self.binary(grammar, levels[op] + (op != "=>"))
+            left = node(op, left, right)
+        return left
 
 
 def parse_formula(src: str, line: int = 1, col: int = 1) -> Formula:
     """The formula src; (line, col) is where src starts in its script, and
     errors give their position there."""
     parser = _Parser(_scan(_TOKEN_RE, src, line, col))
-    node = parser.formula()
+    node = parser.binary(_Parser.FORMULA)
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
@@ -757,8 +735,8 @@ def _combine(a: dict, b: dict, sign: int) -> dict:
 # Division helpers may widen a comparison's linear atom to this many tracks,
 # or to its own variable count if that is larger.  An atom on n tracks reads
 # 2**n symbols and its states grow with the square of its largest weight:
-# x_1 + ... + x_7 = y takes 5 s and 0.3 GB on one core of a 2-core x86-64
-# host, one more track 31 s and 1.4 GB.
+# x_1 + ... + x_7 = y takes 1.5 s and 0.14 GB on one core of a 2-core
+# x86-64 host, one more track 7 s and 0.5 GB.
 _ATOM_TRACKS = 6
 
 

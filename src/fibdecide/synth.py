@@ -366,6 +366,7 @@ def guess_synchronized(oracle, n_samples: int, *, zero_run: int = 16) -> Automat
 @dataclass
 class Verdict:
     checks: list = field(default_factory=list)  # (name, bool), up to the first FALSE
+    limit: str = ""  # the DeterminizationLimit text behind a FALSE engine_limit
 
     @property
     def ok(self):
@@ -374,6 +375,12 @@ class Verdict:
     @property
     def failures(self):
         return [name for name, good in self.checks if not good]
+
+    @property
+    def failure(self) -> str:
+        """The FALSE checks' names, then the text of the limit that stopped
+        a query, if one did."""
+        return ", ".join(self.failures) + (f": {self.limit}" if self.limit else "")
 
     def __bool__(self):
         return self.ok
@@ -416,8 +423,12 @@ def query_certificate(label: str, queries, setup: str = ""):
             session.run_command(cmd)
         checks = []
         for name, body in queries:
-            got = session.eval(body)
-            checks.append((f"{label}_{name}" if label else name, got))
+            check = f"{label}_{name}" if label else name
+            try:
+                got = session.eval(body)
+            except au.DeterminizationLimit as e:
+                raise au.DeterminizationLimit(f"query {check}: {e}") from e
+            checks.append((check, got))
             if not got:
                 break
         return Verdict(checks)
@@ -454,13 +465,15 @@ def recurrence_certificate(kind: str, x: int = 1, y: int = 1):
 def run_certificates(aut: Automaton, certificates, catalog) -> Verdict:
     """The checks of each certificate on aut over catalog, in order, up to
     the first FALSE one.  A query past SUBSET_LIMIT is the FALSE check
-    engine_limit: evidence of a junk candidate, not of the property."""
+    engine_limit: evidence of a junk candidate, not of the property; the
+    limit's text, which says where the query stopped, is kept."""
     verdict = Verdict()
     for cert in certificates:
         try:
             verdict.checks += cert(aut, catalog).checks
-        except au.DeterminizationLimit:
+        except au.DeterminizationLimit as e:
             verdict.checks.append(("engine_limit", False))
+            verdict.limit = str(e)
         if not verdict:
             break
     return verdict
@@ -486,5 +499,5 @@ def synthesize_certified(
         verdict = run_certificates(candidate, certificates, catalog)
         if verdict:
             return SynthesisReport(oracle_name, candidate, n, "CERTIFIED", verdict.checks)
-        checks, detail = verdict.checks, f"failed: {', '.join(verdict.failures)}"
+        checks, detail = verdict.checks, f"failed: {verdict.failure}"
     return SynthesisReport(oracle_name, None, n, "EXHAUSTED", checks, detail)

@@ -277,6 +277,17 @@ def test_linear_reads_a_large_constant_from_a_track():
             assert np.array_equal(got, holds(total, 0)), (coeffs, k, op)
 
 
+def test_linear_minimizes_before_the_validity_product(monkeypatch):
+    """a+b+...+h=1: the 59-state balance automaton is minimized before it
+    meets valid_tracks(8), so no minimize input nears the 963,584 cells
+    (3,764 states x 256 symbols) of the product taken first."""
+    cells = []
+    minimize = au.minimize
+    monkeypatch.setattr(au, "minimize", lambda a: cells.append(a.delta.size) or minimize(a))
+    arith.linear.__wrapped__((1,) * 8, -1, "=")
+    assert cells == [15_104, 68_096]
+
+
 def test_linear_rejects_too_many_tracks_before_building():
     with pytest.raises(au.ArityError, match="arity 13"):
         arith.linear((1,) * 13)

@@ -257,14 +257,26 @@ def test_sample_language_matches_brute_force():
             assert got[: len(text)] == text[:limit]
 
 
+def _overlap_witness(bound):
+    """The number whose word combine reports as the overlap of two parts
+    n>=bound."""
+    session = logic.Session({})
+    script = f'def p "n>={bound}":\ndef q "n>={bound}":\ncombine C p=1 q=2:'
+    with pytest.raises(au.AutomatonError, match="combine parts overlap; witness: ") as info:
+        session.run_script(script)
+    return nu.decode(str(info.value).rsplit(" ", 1)[1])
+
+
 def test_combine_overlap_past_a_billion_is_found_at_once():
     """The shortest overlap of two parts n>=10**9 has 44 symbols; its witness
     is the first such word, 10**9 itself."""
-    session = logic.Session({})
-    script = 'def p "n>=1000000000":\ndef q "n>=1000000000":\ncombine C p=1 q=2:'
-    with pytest.raises(au.AutomatonError, match="combine parts overlap; witness: ") as info:
-        session.run_script(script)
-    assert nu.decode(str(info.value).rsplit(" ", 1)[1]) == 10**9
+    assert _overlap_witness(10**9) == 10**9
+
+
+def test_combine_overlap_longer_than_64_symbols_has_a_witness():
+    """The shortest overlap of two parts n>=10**14 has 67 symbols, more than
+    a fixed 64-symbol cap reads, but fewer than the parts' states."""
+    assert _overlap_witness(10**14) == 10**14
 
 
 def test_serialize_roundtrip():

@@ -184,7 +184,8 @@ def test_failed_certification_is_one_error_line(tmp_path, catalog, capsys, monke
 
 def test_engine_limit_in_a_catalog_certificate_is_a_failed_check(tmp_path, capsys, monkeypatch):
     """A certificate query past SUBSET_LIMIT while the catalog is built fails
-    the certification: exit 1 and one error: line, not a usage error."""
+    the certification: exit 1 and one error: line, not a usage error, that
+    names the query and the quantifier whose elimination passed the limit."""
     # an empty cache, so that add's certificate runs under the lowered limit
     monkeypatch.setattr(arith, "add", functools.lru_cache(arith.add.__wrapped__))
     monkeypatch.setattr(au, "SUBSET_LIMIT", 40)
@@ -193,7 +194,8 @@ def test_engine_limit_in_a_catalog_certificate_is_a_failed_check(tmp_path, capsy
     assert run_cli(["run", str(script)], tmp_path / "s") == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: add certificate fails engine_limit\n"
+    assert out.err == ("error: add certificate fails engine_limit: query functional:"
+                       " eliminating w (arity 4, 50 states): determinization exceeded 40 states\n")
 
 
 def test_repl_basic(warm_store, capsys, monkeypatch):

@@ -60,6 +60,31 @@ def test_parse_negated_quantifier_scope():
     assert _free_vars(f) == set()
 
 
+@pytest.mark.parametrize("flat, grouped", [
+    ("x=1 => y=2 => z=3", "x=1 => (y=2 => z=3)"),
+    ("x=1 <=> y=2 <=> z=3", "(x=1 <=> y=2) <=> z=3"),
+    ("x=1 | y=2 | z=3", "(x=1 | y=2) | z=3"),
+    ("x=1 & y=2 & z=3", "(x=1 & y=2) & z=3"),
+    ("x-y-z=1", "(x-y)-z=1"),
+    ("x/2/3=y", "(x/2)/3=y"),
+    ("x=1 | y=2 & z=3 => x=2 <=> y=3", "((x=1 | (y=2 & z=3)) => x=2) <=> y=3"),
+    ("x+2*y-z/3=1", "(x+(2*y))-(z/3)=1"),
+    ("~x=1 & y=2", "(~x=1) & y=2"),
+    ("x=1 & Ey y=x | z=1", "x=1 & (Ey (y=x | z=1))"),
+])
+def test_parse_operator_grouping(flat, grouped):
+    """=> groups to the right and every other operator to the left; & binds
+    tighter than |, | than =>, => than <=>, and * / than + -."""
+    assert logic.parse_formula(flat) == logic.parse_formula(grouped)
+
+
+def test_parse_implication_chain_nests_on_the_right():
+    f = logic.parse_formula("x=1 => y=2 => z=3")
+    assert f.op == "=>" and isinstance(f.left, logic.Compare)
+    assert f.right.op == "=>" and f.right.right == logic.parse_formula("z=3")
+    assert f != logic.parse_formula("(x=1 => y=2) => z=3")
+
+
 def test_parse_def_free_vars():
     f = logic.parse_formula("?msd_fib Ek n=2*k")
     assert _free_vars(f) == {"n"}

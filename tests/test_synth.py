@@ -129,20 +129,23 @@ def test_run_certificates_ends_at_an_engine_limit():
 
 
 def test_admit_fails_at_an_engine_limit():
-    with pytest.raises(arith.CatalogError, match="^eq certificate fails engine_limit$"):
+    with pytest.raises(arith.CatalogError, match="^eq certificate fails engine_limit: determinization exceeded 3 states$"):
         arith.admit("eq", arith.eq(), _LIMITED, {}, None, 0)
 
 
 def test_add_certification_fails_at_an_engine_limit(monkeypatch):
-    """No formula names engine_limit, so the message ends at the check."""
+    """No formula names engine_limit, so the message ends at the limit's text."""
     monkeypatch.setattr(synth, "query_certificate", lambda *args: _limit_stub)
-    with pytest.raises(arith.CatalogError, match="^add certificate fails engine_limit$"):
+    text = "^add certificate fails engine_limit: determinization exceeded 3 states$"
+    with pytest.raises(arith.CatalogError, match=text):
         arith._certify_add(arith.linear((1, 1, -1)))
 
 
 def test_check_permutation_fails_at_an_engine_limit(monkeypatch):
     monkeypatch.setattr(synth, "function_certificate", lambda label: _limit_stub)
-    with pytest.raises(ValueError, match="^first relation is not a certified function$"):
+    text = ("^first relation is not a certified function:"
+            " fails engine_limit: determinization exceeded 3 states$")
+    with pytest.raises(ValueError, match=text):
         linrep.check_permutation(arith.eq(), arith.eq(), {})
 
 
@@ -160,7 +163,7 @@ def test_synthesize_certified_exhausts_at_an_engine_limit(catalog):
                                         catalog=catalog)
     assert (report.verdict, report.candidate, report.samples_used) == ("EXHAUSTED", None, 512)
     assert report.checks == [("stub", True), ("engine_limit", False)]
-    assert report.detail == "failed: engine_limit"
+    assert report.detail == "failed: engine_limit: determinization exceeded 3 states"
 
 
 def test_learner_roundtrip_property(catalog):
